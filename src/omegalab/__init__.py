@@ -1,6 +1,6 @@
 """omegalab: exact halting-probability sums over a truncated prefix-free machine."""
 
-from .core import kernel_name
+from ._purecore import kernel_name
 from .dyadic import Dyadic, DyadicInterval, iroot, pow2_enclosure
 from .enumerator import Budget, EnumerationResult, HaltEvent, enumerate_domain
 from .machine import Machine, MachineOutcome, OutcomeKind

@@ -2,10 +2,15 @@
 
 The schedule is recompute-from-scratch dovetailing: round r runs every
 program of length <= min(r, max_len) for 2**r steps.  Because each run is a
-pure function, the whole schedule collapses to a single decode per program
+pure function, the whole schedule collapses to a single run per program
 with the final step cap; the round in which a program first halts is then
-max(|p|, ceil(log2 steps)).  This keeps enumeration stateless, replayable,
-and independent of the worker count.
+max(|p|, ceil(log2 steps)).
+
+There is one enumeration path.  The halting programs of each length come
+straight from the branch grammar (_purecore.generate_halts), which also
+counts every other outcome; only the subtrees of registered submachines
+are run program by program, through Machine.run_pair.  This keeps
+enumeration stateless, replayable and deterministic.
 """
 
 from __future__ import annotations
@@ -13,13 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
-from . import core
+from . import _purecore
 from .bits import pair_to_bits
 from .machine import Machine, OutcomeKind
-
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,16 +138,11 @@ class EnumerationResult:
         return CompressibleStream(t, tuple(members))
 
 
-def _scan_task(args):
-    length, lo, hi, cap = args
-    return core.kernel_for(length, cap).scan_halts(length, lo, hi, cap)
-
-
 def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> EnumerationResult:
     """Decide every program of length <= max_len under the budget's schedule.
 
-    The result is identical for any worker count: tasks are fixed slices of
-    the program space and events are merged in canonical order afterwards.
+    `workers` is accepted for compatibility and ignored: enumeration is a
+    single pass in one process, and events are sorted in canonical order.
     """
     cap = budget.step_cap
     counts = {
@@ -155,41 +152,34 @@ def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> Enum
         "no_such_submachine": 0,
         "out_of_budget": 0,
     }
-    tasks = []
+    raw_events = []
     for length in range(1, budget.max_len + 1):
         if length > budget.max_rounds:
             # never scheduled: round r only admits programs of length <= r
             counts["out_of_budget"] += 1 << length
             continue
-        total = 1 << length
-        for lo in range(0, total, _CHUNK):
-            tasks.append((length, lo, min(lo + _CHUNK, total), cap))
-
-    if workers > 1 and tasks:
-        with Pool(workers) as pool:
-            results = pool.map(_scan_task, tasks)
-    else:
-        results = [_scan_task(t) for t in tasks]
-
-    raw_events = []
-    for (length, lo, hi, _), (halts, nmi, early, oob, sub_vals) in zip(tasks, results):
+        halts, nmi, early, oob, no_sub, routed = _purecore.generate_halts(
+            length, cap, machine.registry
+        )
         counts["needs_more_input"] += nmi
         counts["halted_early"] += early
         counts["out_of_budget"] += oob
+        counts["no_such_submachine"] += no_sub
         for val, out_val, out_len, steps in halts:
             raw_events.append((length, val, pair_to_bits(out_val, out_len), steps))
-        for val in sub_vals:
-            outcome = machine.run_pair(val, length, cap)
-            if outcome.kind is OutcomeKind.HALT:
-                raw_events.append((length, val, outcome.output, outcome.steps))
-            else:
-                key = outcome.kind.value
-                counts[key] = counts.get(key, 0) + 1
+        for lo, hi in routed:
+            for val in range(lo, hi):
+                outcome = machine.run_pair(val, length, cap)
+                if outcome.kind is OutcomeKind.HALT:
+                    raw_events.append((length, val, outcome.output, outcome.steps))
+                else:
+                    counts[outcome.kind.value] += 1
 
     keyed = []
     for length, val, output, steps in raw_events:
         rnd = max(length, _ceil_log2(steps))
         if rnd > budget.max_rounds:
+            # a registered decoder may report more steps than its budget
             counts["out_of_budget"] += 1
             continue
         keyed.append((rnd, length, val, output, steps))

@@ -148,9 +148,8 @@ def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConsta
             break
 
     # n1: least n with (n' - c) 2**-n' <= 1 for all n' >= n; always 1 since
-    # n - c <= n < 2**n, verified by scan up to the point it is monotone
+    # n - c <= n < 2**n
     n1 = 1
-    assert all(m - c_upper <= (1 << m) for m in range(1, 65))
 
     n2 = max(n0, n1, c_upper + 1)
     return GapConstants(T, t, c_upper, c_lower, n0, n1, n2)
@@ -403,6 +402,9 @@ class CompositeMachine:
         if len(selector) < self.ctx.c + 2:
             return CompositeOutcome("needs_more_input", consumed=len(bits))
         consumed = pos + m + self.ctx.c + 2
+        if n > step_budget:
+            # emitting the n-bit result costs n steps (shared step contract)
+            return CompositeOutcome("out_of_budget", consumed=consumed)
         try:
             output = phi_reconstruct(self.enum, n, v, selector, self.ctx)
         except ReconstructFailed:

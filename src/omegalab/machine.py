@@ -1,10 +1,12 @@
 """The concrete prefix-free machine.
 
-The machine decodes a program bit by bit (branch table in _purecore's
-docstring) and halts only when the decoder finishes having consumed the
-input exactly.  Prefix-freeness of the halting set holds by construction:
-the decoder's reads are self-delimiting, so a proper prefix of a halting
-program either stops early or runs out of input.
+The machine decodes a program bit by bit with _purecore.decode_pair, the
+one decoder; only _purecore encodes the branch table (BRANCH_TABLE below
+merely names it in the machine identity).  It halts only when the decoder
+finishes having consumed the input exactly.  Prefix-freeness of the
+halting set holds by construction: the decoder's reads are
+self-delimiting, so a proper prefix of a halting program either stops
+early or runs out of input.
 
 The '111' branch routes to registered submachines.  The registry is part
 of the machine identity; registering the same decoders in the same slots
@@ -18,10 +20,8 @@ import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import _purecore, core
-from .bits import bits_to_pair, gamma_decode, pair_to_bits, string_to_nat
-
-decode_gamma = gamma_decode
+from . import _purecore
+from .bits import IncompleteCode, bits_to_pair, gamma_decode, pair_to_bits, string_to_nat
 
 BRANCH_TABLE = (
     "v1:"
@@ -76,7 +76,7 @@ class ReversePayloadDecoder(SubmachineDecoder):
     def run(self, bits: str, step_budget: int) -> MachineOutcome:
         try:
             n, consumed = gamma_decode(bits)
-        except Exception:
+        except IncompleteCode:
             if len(bits) + 1 > step_budget:
                 return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, steps=step_budget)
             return MachineOutcome(OutcomeKind.NEEDS_MORE_INPUT, consumed=len(bits), steps=len(bits))
@@ -137,8 +137,7 @@ class Machine:
         return self.run_pair(val, length, step_budget)
 
     def run_pair(self, val: int, length: int, step_budget: int) -> MachineOutcome:
-        kern = core.kernel_for(length, step_budget)
-        kind, out_val, out_len, consumed, steps, sub_index = kern.decode_pair(
+        kind, out_val, out_len, consumed, steps, sub_index = _purecore.decode_pair(
             val, length, step_budget
         )
         if kind == _purecore.HALT:

@@ -2,9 +2,73 @@ from fractions import Fraction
 
 import pytest
 
-from omegalab import Budget, enumerate_domain
-from omegalab.enumerator import load_log, write_log
+from omegalab import Budget, Machine, _purecore, enumerate_domain
+from omegalab.bits import pair_to_bits
+from omegalab.enumerator import HaltEvent, load_log, write_log
+from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
 from reference import ref_halting_set, ref_steps
+
+REGISTRIES = {
+    "none": {},
+    "reverse1": {1: ReversePayloadDecoder()},
+    "reverse1-loop2": {1: ReversePayloadDecoder(), 2: LoopForeverDecoder()},
+    "reverse5-loop3": {5: ReversePayloadDecoder(), 3: LoopForeverDecoder()},
+}
+
+_KIND_NAMES = {
+    _purecore.HALT: "halt",
+    _purecore.NEEDS_INPUT: "needs_more_input",
+    _purecore.HALTED_EARLY: "halted_early",
+    _purecore.OUT_OF_BUDGET: "out_of_budget",
+}
+_decoded = {}
+
+
+def _decode_length(machine, length, cap):
+    """(val, outcome name, output, steps) for every program of one length.
+
+    Brute force: decode_pair on each program, and Machine.run_pair for the
+    ones that reach the submachine branch.  Cached per (registry, length, cap).
+    """
+    key = (machine.digest(), length, cap)
+    if key not in _decoded:
+        rows = []
+        for val in range(1 << length):
+            kind, out_val, out_len, _, steps, _ = _purecore.decode_pair(val, length, cap)
+            if kind == _purecore.SUBMACHINE:
+                sub = machine.run_pair(val, length, cap)
+                rows.append((val, sub.kind.value, sub.output, sub.steps))
+            else:
+                rows.append((val, _KIND_NAMES[kind], pair_to_bits(out_val, out_len), steps))
+        _decoded[key] = rows
+    return _decoded[key]
+
+
+def brute_force(machine, budget):
+    """Events and counts of the dovetailed schedule, by decoding every program."""
+    counts = dict.fromkeys(
+        ("halt", "needs_more_input", "halted_early", "no_such_submachine", "out_of_budget"), 0
+    )
+    keyed = []
+    for length in range(1, budget.max_len + 1):
+        if length > budget.max_rounds:
+            counts["out_of_budget"] += 1 << length
+            continue
+        for val, name, output, steps in _decode_length(machine, length, budget.step_cap):
+            rnd = max(length, (steps - 1).bit_length())
+            if name != "halt":
+                counts[name] += 1
+            elif rnd > budget.max_rounds:
+                counts["out_of_budget"] += 1
+            else:
+                keyed.append((rnd, length, val, output, steps))
+    keyed.sort(key=lambda item: item[:3])
+    events = [
+        HaltEvent(seq, rnd, pair_to_bits(val, length), output, steps)
+        for seq, (rnd, length, val, output, steps) in enumerate(keyed, start=1)
+    ]
+    counts["halt"] = len(events)
+    return events, counts
 
 
 def test_budget_validation():
@@ -35,14 +99,68 @@ def test_rounds_and_order(enum14):
         assert (1 << e.round) >= e.steps  # halts within its discovery round
 
 
-def test_matches_reference_halting_set(enum_at):
-    res = enum_at(12)
+@pytest.mark.parametrize("max_len", [12, 16])
+def test_matches_reference_halting_set(enum_at, max_len):
+    res = enum_at(max_len)
     got = {(e.program, e.output) for e in res.events}
-    want = set(ref_halting_set(12))
+    want = set(ref_halting_set(max_len))
     assert got == want
     steps = {e.program: e.steps for e in res.events}
     for p, s in want:
         assert steps[p] == ref_steps(p, s)
+
+
+@pytest.mark.parametrize("max_len", range(1, 17))
+def test_grammar_matches_brute_force(enum_at, machine, max_len):
+    res = enum_at(max_len)
+    events, counts = brute_force(machine, Budget(max_len))
+    assert res.events == events
+    assert res.counts == counts
+
+
+def test_generate_halts_matches_decode_pair():
+    # budgets just above the length: the only ones where outputs overflow,
+    # since the dovetailed schedule always allows 2**length steps
+    registered = {1, 5}
+    for length in range(1, 12):
+        for budget in range(length + 1, length + 40):
+            halts, nmi, early, oob, no_sub, routed = _purecore.generate_halts(
+                length, budget, registered
+            )
+            want = {kind: 0 for kind in _KIND_NAMES}
+            want_halts, want_routed, subtree = [], [], 0
+            for val in range(1 << length):
+                kind, out_val, out_len, _, steps, index = _purecore.decode_pair(val, length, budget)
+                if kind == _purecore.SUBMACHINE:
+                    subtree += 1
+                    if index in registered:
+                        want_routed.append(val)
+                    continue
+                want[kind] += 1
+                if kind == _purecore.HALT:
+                    want_halts.append((val, out_val, out_len, steps))
+            assert halts == want_halts, (length, budget)
+            assert (nmi, early, oob) == (
+                want[_purecore.NEEDS_INPUT],
+                want[_purecore.HALTED_EARLY],
+                want[_purecore.OUT_OF_BUDGET],
+            ), (length, budget)
+            assert sorted(v for lo, hi in routed for v in range(lo, hi)) == want_routed
+            assert no_sub == subtree - len(want_routed)
+    with pytest.raises(ValueError):
+        _purecore.generate_halts(4, 4, ())
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_grammar_matches_brute_force_grid(registry):
+    machine = Machine(REGISTRIES[registry])
+    for max_len in range(1, 13):
+        for max_rounds in [*range(1, max_len + 2), 32]:
+            budget = Budget(max_len, max_rounds)
+            res = enumerate_domain(machine, budget)
+            events, counts = brute_force(machine, budget)
+            assert res.events == events, budget
+            assert res.counts == counts, budget
 
 
 def test_round_cap_excludes_long_programs(machine):

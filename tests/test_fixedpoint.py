@@ -23,7 +23,7 @@ from omegalab.fixedpoint import (
     z_k,
 )
 from omegalab.machine import Machine, raw_program
-from omegalab.bits import nat_to_string
+from omegalab.bits import gamma_encode, nat_to_string
 from omegalab.measures import cst_lower
 
 T = Fraction(1, 2)
@@ -208,3 +208,15 @@ def test_composite_undefined(enum14, ctx):
         + "0" * (ctx.c + 2)
     )
     assert comp.decode(prog, 1 << 20).status == "undefined"
+
+
+def test_composite_oversized_n_is_out_of_budget(enum14, ctx):
+    # the first program outputs 0^600, so n = phi(0^600) = 2**600 - 1 output
+    # bits would be due: more steps than any budget allows
+    w = nat_to_string(600)
+    first = "110" + gamma_encode(len(w) + 1) + w
+    assert len(first) == 19
+    prog = first + "01" + "0" * (ctx.c + 2)
+    out = CompositeMachine(Machine(), enum14, ctx).decode(prog, 1 << 20)
+    assert out.status == "out_of_budget"
+    assert out.consumed == len(prog)
