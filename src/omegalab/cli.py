@@ -113,15 +113,8 @@ def cmd_fixedpoint(args) -> int:
     k_full = fixedpoint.stream_length(enum)
     span = args.t - args.T
     grid = [args.T + span * Fraction(j, args.grid + 1) for j in range(1, args.grid + 1)]
-    upper_ok = all(
-        fixedpoint.check_upper_gap(enum, k, consts, x, args.prec)
-        for x in grid
-        for k in range(0, k_full + 1)
-    )
-    lower_ok = all(
-        fixedpoint.check_lower_gap(enum, k, consts, args.t, args.prec)
-        for k in range(1, k_full + 1)
-    )
+    upper_ok = all(fixedpoint.upper_gap_sweep(enum, consts, x, args.prec) for x in grid)
+    lower_ok = fixedpoint.lower_gap_sweep(enum, consts, args.t, args.prec)
     floors = [fixedpoint.check_floor_identities(consts, n) for n in range(consts.n2, 65)]
     ctx = fixedpoint.default_context(enum, args.T, args.t, prec=args.prec)
     trips = []

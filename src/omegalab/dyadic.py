@@ -46,10 +46,10 @@ class Dyadic:
             exp = 0
         if num == 0:
             exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+        elif exp > 0:
+            tz = min((num & -num).bit_length() - 1, exp)  # trailing zero bits to strip
+            num >>= tz
+            exp -= tz
         self.num = num
         self.exp = exp
 
@@ -194,19 +194,60 @@ def pow2_enclosure(num: int, den: int, prec: int) -> DyadicInterval:
     g = gcd(num, den)
     num, den = num // g, den // g
     if den <= _ROOT_METHOD_MAX_DEN:
-        return _pow2_by_root(num, den, prec)
+        return _pow2_by_root(num, den, prec, _fraction_root(num % den, den, prec))
     return _pow2_by_ladder(num, den, prec)
 
 
-def _pow2_by_root(num: int, den: int, prec: int) -> DyadicInterval:
-    shift = prec
-    if shift * den < num:
-        shift = -(-num // den) + prec
-    root, exact = iroot(1 << (shift * den - num), den)
-    lo = Dyadic(root, shift)
-    if exact:  # only when den | num, kept for safety
-        return DyadicInterval.point(lo)
-    return DyadicInterval(lo, Dyadic(root + 1, shift))
+def _fraction_root(r: int, den: int, prec: int) -> int:
+    """floor(2**(prec + 1 - r/den)): one floor den-th root of a power of two."""
+    return iroot(1 << ((prec + 1) * den - r), den)[0]
+
+
+def _pow2_by_root(num: int, den: int, prec: int, root: int) -> DyadicInterval:
+    """2**(-num/den), den not dividing num, from root = _fraction_root(num % den, den, prec).
+
+    With q = num // den and shift = prec, or q + 1 + prec when num/den > prec,
+    floor(2**(shift - num/den)) == root >> (prec + 1 - (shift - q)), a shift
+    that is never negative.  So every exponent with the same fractional part
+    r/den shares one root.
+    """
+    q = num // den
+    shift = prec if prec * den >= num else q + 1 + prec
+    floor = root >> (prec + 1 - (shift - q))
+    return DyadicInterval(Dyadic(floor, shift), Dyadic(floor + 1, shift))
+
+
+class SharedRootPow2:
+    """pow2_enclosure at one precision, computing each den-th root once.
+
+    Roots are keyed by (num % den, den) after reduction: exponents of one
+    partial-sum table reduce to different denominators (|s| * 5/4 gives 4, 2
+    or 1), and the remainder alone would mix them up.
+    """
+
+    __slots__ = ("prec", "_roots")
+
+    def __init__(self, prec: int):
+        if prec < 1:
+            raise ValueError("need prec >= 1")
+        self.prec = prec
+        self._roots: dict[tuple[int, int], int] = {}
+
+    def enclosure(self, num: int, den: int) -> DyadicInterval:
+        """Same interval as pow2_enclosure(num, den, self.prec)."""
+        if num < 0 or den < 1:
+            raise ValueError("need num >= 0, den >= 1")
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if den == 1:
+            return DyadicInterval.point(Dyadic.pow2(num))
+        if den > _ROOT_METHOD_MAX_DEN:
+            return pow2_enclosure(num, den, self.prec)
+        key = (num % den, den)
+        root = self._roots.get(key)
+        if root is None:
+            root = self._roots[key] = _fraction_root(*key, self.prec)
+        return _pow2_by_root(num, den, self.prec, root)
 
 
 def _pow2_by_ladder(num: int, den: int, prec: int) -> DyadicInterval:

@@ -16,8 +16,10 @@ enumeration stateless, replayable and deterministic.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _purecore
 from .bits import pair_to_bits
@@ -66,11 +68,38 @@ class CompressibleStream:
     threshold: Fraction
     members: tuple[str, ...]
 
+    # Both are built once, on first use: a result keeps its streams, and
+    # most of them never feed a partial-sum table or a membership test.
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """|s_i| for every member, in stream order."""
+        return tuple(map(len, self.members))
+
+    @cached_property
+    def _member_set(self) -> frozenset[str]:
+        return frozenset(self.members)
+
     def __contains__(self, s: str) -> bool:
-        return s in set(self.members)
+        return s in self._member_set
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+# Streams and partial-sum tables a result keeps, each evicted least recently
+# used first, so a sweep over many thresholds or temperatures stays bounded.
+_MAX_CACHED = 32
+
+
+def _cached(cache: OrderedDict, key, build):
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+        if len(cache) > _MAX_CACHED:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
 
 
 def _ceil_log2(n: int) -> int:
@@ -87,6 +116,8 @@ class EnumerationResult:
         self.machine_identity = machine_identity
         self.counts = dict(counts)
         self._table: dict[str, tuple[int, str]] | None = None
+        self._streams: OrderedDict[Fraction, CompressibleStream] = OrderedDict()
+        self._sum_tables: OrderedDict[tuple, object] = OrderedDict()
 
     @property
     def undecided(self) -> int:
@@ -124,10 +155,18 @@ class EnumerationResult:
         """Distinct outputs with H_up(s) < T|s|, entered at their first witness.
 
         Membership is the exact rational comparison |p| * den(T) < num(T) * |s|.
+        Built once per threshold and kept on the result.
         """
         t = Fraction(threshold)
         if t <= 0:
             raise ValueError("threshold must be positive")
+        return _cached(self._streams, t, lambda: self._build_stream(t))
+
+    def partial_sums(self, key, build):
+        """The partial-sum table stored under key, made by build() on first use."""
+        return _cached(self._sum_tables, key, build)
+
+    def _build_stream(self, t: Fraction) -> CompressibleStream:
         seen: set[str] = set()
         members: list[str] = []
         for ev in self.events:

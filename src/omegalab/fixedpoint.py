@@ -13,6 +13,7 @@ so every inequality check is sound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .bits import bit_prefix_value, expansion_prefix, pair_to_bits
 from .dyadic import Dyadic, DyadicInterval
 from .enumerator import EnumerationResult
 from .machine import Machine, OutcomeKind, phi
-from .measures import cs_lower, cst_lower, pow2_term
+from .measures import cs_lower, cst_lower, pow2_term, stream_sums
 
 
 class ReconstructFailed(Exception):
@@ -35,49 +36,18 @@ def ln2_enclosure(terms: int = 64) -> tuple[Fraction, Fraction]:
     return partial, partial + Fraction(1, (terms + 1) << terms)
 
 
-def _stream_lengths(enum: EnumerationResult) -> list[int]:
-    cache = getattr(enum, "_stream_lengths", None)
-    if cache is None:
-        cache = [len(s) for s in enum.compressible_stream(1).members]
-        enum._stream_lengths = cache
-    return cache
-
-
-def _cumulative(enum: EnumerationResult, x: Fraction, prec: int, weighted: bool):
-    """Cumulative interval sums of 2**(-l_i/x), optionally weighted by l_i."""
-    cache = getattr(enum, "_fp_cache", None)
-    if cache is None:
-        cache = enum._fp_cache = {}
-    key = (x, prec, weighted)
-    if key not in cache:
-        sums = [DyadicInterval.zero()]
-        for length in _stream_lengths(enum):
-            term = pow2_term(Fraction(length) / x, prec)
-            if weighted:
-                term = term.scale(length)
-            sums.append(sums[-1] + term)
-        cache[key] = sums
-    return cache[key]
-
-
 def z_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} 2**(-|s_i|/x); exact when the exponents are integers."""
-    sums = _cumulative(enum, Fraction(x), prec, weighted=False)
-    if not 0 <= k < len(sums):
-        raise ValueError(f"k={k} out of range (stream length {len(sums) - 1})")
-    return sums[k]
+    return stream_sums(enum, x, prec).at(k)
 
 
 def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} |s_i| 2**(-|s_i|/x)."""
-    sums = _cumulative(enum, Fraction(x), prec, weighted=True)
-    if not 0 <= k < len(sums):
-        raise ValueError(f"k={k} out of range (stream length {len(sums) - 1})")
-    return sums[k]
+    return stream_sums(enum, x, prec, weighted=True).at(k)
 
 
 def stream_length(enum: EnumerationResult) -> int:
-    return len(_stream_lengths(enum))
+    return len(enum.compressible_stream(1))
 
 
 @dataclass(frozen=True)
@@ -125,7 +95,7 @@ def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConsta
     while Fraction(1 << c_upper) < upper:
         c_upper += 1
 
-    l1 = _stream_lengths(enum)[0]
+    l1 = enum.compressible_stream(1).lengths[0]
     term_lo = pow2_term(Fraction(l1) / T, prec).lo.as_fraction()
     lower = ln2_lo * l1 * term_lo
     if lower <= 0:
@@ -155,30 +125,70 @@ def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConsta
     return GapConstants(T, t, c_upper, c_lower, n0, n1, n2)
 
 
-def check_upper_gap(enum, k: int, constants: GapConstants, x, prec: int = 96) -> bool:
-    """Certified instance of: Z_k(x) - Z_k(T) < 2**c_upper (x - T)."""
+def _scaled_lt(a: int, sa: int, b: int, sb: int) -> bool:
+    """a * 2**sa < b * 2**sb, in integers."""
+    s = min(sa, sb)
+    return a << (sa - s) < b << (sb - s)
+
+
+def _upper_holds(zx: DyadicInterval, zT: DyadicInterval, gap: Fraction, c: int) -> bool:
+    """Z(x).hi - Z(T).lo < 2**c gap, with gap = x - T."""
+    d = zx.hi - zT.lo
+    return _scaled_lt(d.num * gap.denominator, 0, gap.numerator, c + d.exp)
+
+
+def _lower_holds(zt: DyadicInterval, zT: DyadicInterval, gap: Fraction, c: int) -> bool:
+    """Z(t).lo - Z(T).hi > 2**-c gap, with gap = t - T."""
+    d = zt.lo - zT.hi
+    return _scaled_lt(gap.numerator, d.exp, d.num * gap.denominator, c)
+
+
+def _upper_point(constants: GapConstants, x) -> Fraction:
     x = Fraction(x)
     if not constants.T < x < constants.t:
         raise ValueError("x must lie strictly between T and t")
-    diff_hi = (
-        z_k(enum, k, x, prec).hi.as_fraction()
-        - z_k(enum, k, constants.T, prec).lo.as_fraction()
+    return x
+
+
+def _lower_point(constants: GapConstants, t) -> Fraction:
+    t = Fraction(t)
+    if not constants.T < t < 1:
+        raise ValueError("t must lie strictly between T and 1")
+    return t
+
+
+def check_upper_gap(enum, k: int, constants: GapConstants, x, prec: int = 96) -> bool:
+    """Certified instance of: Z_k(x) - Z_k(T) < 2**c_upper (x - T)."""
+    x = _upper_point(constants, x)
+    return _upper_holds(
+        z_k(enum, k, x, prec), z_k(enum, k, constants.T, prec), x - constants.T, constants.c_upper
     )
-    return diff_hi < (1 << constants.c_upper) * (x - constants.T)
 
 
 def check_lower_gap(enum, k: int, constants: GapConstants, t, prec: int = 96) -> bool:
     """Certified instance of: Z_k(t) - Z_k(T) > 2**-c_lower (t - T); needs k >= 1."""
-    t = Fraction(t)
     if k < 1:
         raise ValueError("lower gap needs k >= 1 (the first stream element)")
-    if not constants.T < t < 1:
-        raise ValueError("t must lie strictly between T and 1")
-    diff_lo = (
-        z_k(enum, k, t, prec).lo.as_fraction()
-        - z_k(enum, k, constants.T, prec).hi.as_fraction()
+    t = _lower_point(constants, t)
+    return _lower_holds(
+        z_k(enum, k, t, prec), z_k(enum, k, constants.T, prec), t - constants.T, constants.c_lower
     )
-    return diff_lo > Fraction(t - constants.T, 1 << constants.c_lower)
+
+
+def upper_gap_sweep(enum, constants: GapConstants, x, prec: int = 96) -> bool:
+    """check_upper_gap at every k = 0 .. stream length, in one walk of two tables."""
+    x = _upper_point(constants, x)
+    zx, zT = stream_sums(enum, x, prec).full(), stream_sums(enum, constants.T, prec).full()
+    gap, c = x - constants.T, constants.c_upper
+    return all(_upper_holds(a, b, gap, c) for a, b in zip(zx, zT))
+
+
+def lower_gap_sweep(enum, constants: GapConstants, t, prec: int = 96) -> bool:
+    """check_lower_gap at every k = 1 .. stream length, in one walk of two tables."""
+    t = _lower_point(constants, t)
+    zt, zT = stream_sums(enum, t, prec).full(), stream_sums(enum, constants.T, prec).full()
+    gap, c = t - constants.T, constants.c_lower
+    return all(_lower_holds(a, b, gap, c) for a, b in zip(zt[1:], zT[1:]))
 
 
 def check_floor_identities(constants: GapConstants, n: int) -> tuple[bool, bool]:
@@ -274,15 +284,9 @@ def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiCo
     if n < 1:
         raise ReconstructFailed("n must be positive")
     alpha = Dyadic(int(cs_prefix, 2) if cs_prefix else 0, len(cs_prefix))
-    members = enum.compressible_stream(1).members
-    running = Dyadic.zero()
-    k0 = None
-    for k, s in enumerate(members, start=1):
-        running = running + Dyadic.pow2(len(s))
-        if alpha < running:
-            k0 = k
-            break
-    if k0 is None:
+    cs_sums = stream_sums(enum, 1, None).full()  # exact sums of 2**-|s_i|
+    k0 = bisect_right(cs_sums, alpha, key=lambda iv: iv.lo)  # least k with alpha < S_k
+    if k0 == len(cs_sums):
         raise ReconstructFailed("partial sums never exceed the given prefix")
     for l0, f_l in enumerate(ctx.f, start=1):
         z_hi = z_k(enum, k0, f_l, ctx.prec).hi.as_fraction()

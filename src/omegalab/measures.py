@@ -9,10 +9,12 @@ intervals of per-term width <= 2**-prec.  No floating point anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .dyadic import Dyadic, DyadicInterval, pow2_enclosure
+from .dyadic import Dyadic, DyadicInterval, SharedRootPow2, pow2_enclosure
 from .enumerator import EnumerationResult
 
 
@@ -30,39 +32,94 @@ def pow2_term(exponent: Fraction, prec: int) -> DyadicInterval:
     return pow2_enclosure(exponent.numerator, exponent.denominator, prec)
 
 
-def sum_pow2(exponents, prec: int) -> DyadicInterval:
-    total = DyadicInterval.zero()
-    for e in exponents:
-        total = total + pow2_term(e, prec)
-    return total
+class PartialSums:
+    """Partial sums S_k = sum_{i<=k} w_i 2**(-l_i/x) over a fixed length sequence.
+
+    w_i is l_i for a weighted table and 1 otherwise.  Entries are grown only
+    as far as a caller asks.  prec None means every exponent l_i/x is an
+    integer, so every entry is exact at any precision.
+    """
+
+    __slots__ = ("lengths", "x", "weighted", "sums", "_pow2")
+
+    def __init__(self, lengths: tuple[int, ...], x: Fraction, prec: int | None, weighted: bool):
+        self.lengths = lengths
+        self.x = x
+        self.weighted = weighted
+        self.sums = [DyadicInterval.zero()]
+        self._pow2 = SharedRootPow2(prec) if prec is not None else None
+
+    def at(self, k: int) -> DyadicInterval:
+        """S_k for 0 <= k <= len(lengths)."""
+        if not 0 <= k <= len(self.lengths):
+            raise ValueError(f"k={k} out of range (stream length {len(self.lengths)})")
+        sums = self.sums
+        if k >= len(sums):
+            p, q = self.x.numerator, self.x.denominator
+            total = sums[-1]
+            for length in self.lengths[len(sums) - 1 : k]:
+                if self._pow2 is None:
+                    term = DyadicInterval.point(Dyadic.pow2(length * q // p))
+                else:
+                    term = self._pow2.enclosure(length * q, p)
+                if self.weighted:
+                    term = term.scale(length)
+                total = total + term
+                sums.append(total)
+        return sums[k]
+
+    def full(self) -> list[DyadicInterval]:
+        """Every entry S_0 .. S_K, K the number of lengths."""
+        self.at(len(self.lengths))
+        return self.sums
+
+
+def stream_sums(enum: EnumerationResult, x, prec: int | None, weighted: bool = False) -> PartialSums:
+    """Partial-sum table over the compressible stream (threshold 1) at temperature x.
+
+    Kept on the result under (x, prec, weighted), or (x, None, weighted)
+    when every l_i/x is an integer, so all precisions share one exact table.
+    """
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("temperature must be positive")
+    lengths = enum.compressible_stream(1).lengths
+    if gcd(*lengths) % x.numerator == 0:
+        prec = None
+    return enum.partial_sums(
+        (x, prec, weighted), lambda: PartialSums(lengths, x, prec, weighted)
+    )
+
+
+def _pow2_sum(lengths) -> Dyadic:
+    """Exact sum of 2**-l over lengths, added as one integer at the largest exponent."""
+    counts = Counter(lengths)
+    top = max(counts, default=0)
+    return Dyadic(sum(n << (top - length) for length, n in counts.items()), top)
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|p| over discovered halting programs; exact dyadic."""
-    total = Dyadic.zero()
-    for ev in enum.events:
-        total = total + Dyadic.pow2(len(ev.program))
-    return total
+    return _pow2_sum(len(ev.program) for ev in enum.events)
 
 
 def cs_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|s| over compressible strings (H_up(s) < |s|); exact dyadic."""
-    total = Dyadic.zero()
-    for s in enum.compressible_stream(1).members:
-        total = total + Dyadic.pow2(len(s))
-    return total
+    return _pow2_sum(map(len, enum.compressible_stream(1).members))
 
 
 def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
     """Enclosure of the tempered halting sum: 2**(-|p|/T) over halt programs.
 
     Degenerates to the plain halting sum at T=1 and to exact dyadics
-    whenever num(T) divides every |p| * den(T).
+    whenever num(T) divides every |p| * den(T).  Terms are equal within a
+    program length, and N equal intervals add up to exactly scale(N).
     """
     t = _as_temperature(T)
-    return sum_pow2(
-        (Fraction(len(ev.program)) / t for ev in enum.events), prec
-    )
+    total = DyadicInterval.zero()
+    for length, n in Counter(len(ev.program) for ev in enum.events).items():
+        total = total + pow2_term(Fraction(length) / t, prec).scale(n)
+    return total
 
 
 def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -> DyadicInterval:
@@ -75,9 +132,7 @@ def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return sum_pow2(
-        (Fraction(len(s)) / t for s in enum.compressible_stream(1).members), prec
-    )
+    return stream_sums(enum, t, prec).full()[-1]
 
 
 def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
@@ -88,10 +143,7 @@ def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    total = Dyadic.zero()
-    for s in enum.compressible_stream(t).members:
-        total = total + Dyadic.pow2(len(s))
-    return total
+    return _pow2_sum(map(len, enum.compressible_stream(t).members))
 
 
 def t_convergence_sum(enum: EnumerationResult, T) -> Dyadic:

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omegalab.dyadic import Dyadic, DyadicInterval, iroot, pow2_enclosure
+from omegalab.dyadic import Dyadic, DyadicInterval, SharedRootPow2, iroot, pow2_enclosure
 
 dyadics = st.builds(
     Dyadic,
@@ -32,6 +33,16 @@ def test_dyadic_canonical():
     assert Dyadic(0, 7) == Dyadic(0, 0)
     assert Dyadic(3, -2) == Dyadic(12, 0)
     assert Dyadic.pow2(-3).as_fraction() == 8
+
+
+@given(st.integers(min_value=-(1 << 200), max_value=1 << 200), st.integers(min_value=-80, max_value=400))
+def test_dyadic_canonical_against_fraction(num, exp):
+    d = Dyadic(num, exp)
+    f = Fraction(num, 1) / Fraction(2) ** exp
+    assert d.as_fraction() == f
+    # canonical: exp is the exponent of f's denominator, so equal values are equal objects
+    assert 1 << d.exp == f.denominator
+    assert d == Dyadic.from_fraction(f) and hash(d) == hash(Dyadic.from_fraction(f))
 
 
 @given(dyadics, dyadics)
@@ -96,3 +107,42 @@ def test_pow2_enclosure_randomized_soundness():
         iv2 = _brackets(num, den, 2 * prec)
         if not iv1.exact:
             assert 2 * iv2.width().as_fraction() <= iv1.width().as_fraction()
+
+
+def direct_root_enclosure(num, den, prec):
+    """The root path computed per exponent: floor of 2**(shift - num/den) from its own root."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return DyadicInterval.point(Dyadic.pow2(num))
+    shift = prec
+    if shift * den < num:
+        shift = -(-num // den) + prec
+    root, exact = iroot(1 << (shift * den - num), den)
+    assert not exact
+    return DyadicInterval(Dyadic(root, shift), Dyadic(root + 1, shift))
+
+
+exponents = st.tuples(st.integers(min_value=0, max_value=3000), st.integers(min_value=1, max_value=64))
+
+
+@given(st.integers(min_value=1, max_value=200), st.lists(exponents, max_size=40))
+def test_shared_root_matches_pow2_enclosure(prec, terms):
+    # one sharer across terms whose exponents reduce to different denominators
+    shared = SharedRootPow2(prec)
+    for num, den in terms:
+        want = direct_root_enclosure(num, den, prec)
+        assert pow2_enclosure(num, den, prec) == want
+        assert shared.enclosure(num, den) == want
+
+
+@pytest.mark.parametrize("prec", [1, 8, 64, 96, 200])
+def test_shared_root_mixed_denominators(prec):
+    # |s| / (4/5) = 5|s|/4 reduces to den 4, 2 or 1 inside one table
+    shared = SharedRootPow2(prec)
+    for length in range(1, 120):
+        assert shared.enclosure(5 * length, 4) == direct_root_enclosure(5 * length, 4, prec)
+    for num, den in ((3, 100), (7, 65), (12, 6)):  # ladder path and an integer exponent
+        assert shared.enclosure(num, den) == pow2_enclosure(num, den, prec)
+    with pytest.raises(ValueError):
+        SharedRootPow2(0)

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from omegalab.bits import expansion_prefix
+from omegalab.enumerator import Budget, EnumerationResult, HaltEvent
 from omegalab.fixedpoint import (
     CompositeMachine,
     GapConstants,
@@ -15,10 +17,12 @@ from omegalab.fixedpoint import (
     default_context,
     derive_constants,
     ln2_enclosure,
+    lower_gap_sweep,
     phi_reconstruct,
     reconstruction_roundtrip,
     stream_length,
     true_selector,
+    upper_gap_sweep,
     w_k,
     z_k,
 )
@@ -73,13 +77,12 @@ def test_constants_frozen(enum14, consts):
 
 def test_constants_are_least(enum14, consts):
     # one notch tighter must fail the defining inequality
-    from omegalab.fixedpoint import _stream_lengths
     from omegalab.measures import pow2_term
 
     ln2_lo, ln2_hi = ln2_enclosure(96)
     w_hi = w_k(enum14, 115, t, 96).hi.as_fraction()
     assert Fraction(1 << consts.c_upper) >= w_hi * ln2_hi / (T * T)
-    l1 = _stream_lengths(enum14)[0]
+    l1 = enum14.compressible_stream(1).lengths[0]
     term = pow2_term(Fraction(l1) / T, 96).lo.as_fraction()
     assert Fraction(1, 1 << consts.c_lower) <= ln2_lo * l1 * term
     assert Fraction(1, 1 << (consts.c_lower - 1)) > ln2_lo * l1 * term
@@ -111,6 +114,73 @@ def test_lower_gap_sweep(enum14, consts):
         assert check_lower_gap(enum14, k, consts, t)
     with pytest.raises(ValueError):
         check_lower_gap(enum14, 0, consts, t)
+
+
+def upper_in_fractions(enum, k, c, x, prec=96):
+    """The upper gap as first written: Z_k(x).hi - Z_k(T).lo < 2**c_upper (x - T) in Fractions."""
+    diff = z_k(enum, k, x, prec).hi.as_fraction() - z_k(enum, k, c.T, prec).lo.as_fraction()
+    return diff < Fraction(2) ** c.c_upper * (x - c.T)
+
+
+def lower_in_fractions(enum, k, c, t, prec=96):
+    diff = z_k(enum, k, t, prec).lo.as_fraction() - z_k(enum, k, c.T, prec).hi.as_fraction()
+    return diff > (t - c.T) / Fraction(2) ** c.c_lower
+
+
+def assert_sweeps_match_per_k(enum, T0, t0):
+    """Tighten each constant until the sweep fails; it agrees with the per-k checks throughout."""
+    base = derive_constants(enum, T0, t0)
+    ks = range(stream_length(enum) + 1)
+    for x in (T0 + (t0 - T0) * Fraction(j, 5) for j in (1, 4)):
+        seen = []
+        c = base.c_upper + 1
+        while False not in seen:
+            assert c > base.c_upper - 64, "upper sweep never failed"
+            tight = replace(base, c_upper=c)
+            seen.append(upper_gap_sweep(enum, tight, x))
+            per_k = [check_upper_gap(enum, k, tight, x) for k in ks]
+            assert per_k == [upper_in_fractions(enum, k, tight, x) for k in ks]
+            assert seen[-1] == all(per_k)
+            c -= 1
+        assert True in seen
+    seen = []
+    c = base.c_lower + 2
+    while False not in seen:
+        assert c >= 0, "lower sweep never failed"
+        tight = replace(base, c_lower=c)
+        seen.append(lower_gap_sweep(enum, tight, t0))
+        per_k = [check_lower_gap(enum, k, tight, t0) for k in ks[1:]]
+        assert per_k == [lower_in_fractions(enum, k, tight, t0) for k in ks[1:]]
+        assert seen[-1] == all(per_k)
+        c -= 1
+    assert True in seen
+    with pytest.raises(ValueError):
+        upper_gap_sweep(enum, base, t0)
+    with pytest.raises(ValueError):
+        lower_gap_sweep(enum, base, 1)
+
+
+@pytest.mark.parametrize(
+    "pair", [(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(4, 5))],
+    ids=str,
+)
+def test_sweeps_equal_per_k_checks(enum14, pair):
+    assert_sweeps_match_per_k(enum14, *pair)
+
+
+@pytest.mark.parametrize("lengths", [(40, 41, 42, 3), (40, 3, 4, 5)], ids=str)
+def test_sweeps_reach_both_ends_of_the_stream(lengths):
+    """Streams whose first or last element alone decides a sweep.
+
+    On a real stream the gaps are set by the short early members, so a sweep
+    that skipped the last k would still agree; a short last member makes
+    only k = K fail the upper gap, and a long first member only k = 1 the
+    lower one.
+    """
+    events = [HaltEvent(i, 1, "1", "0" * n, 1) for i, n in enumerate(lengths, start=1)]
+    enum = EnumerationResult(events, Budget(1), "synthetic", {}, {"halt": len(events)})
+    assert enum.compressible_stream(1).lengths == lengths
+    assert_sweeps_match_per_k(enum, Fraction(1, 2), Fraction(3, 4))
 
 
 def test_floor_identities(consts):

@@ -1,0 +1,110 @@
+"""Byte-identity of the CLI artifacts against committed sha256 digests.
+
+Criterion 10 only compares two runs of the same code; these digests pin the
+bytes themselves, so any change to a sum, a table or an artifact format
+shows up here.  The digests live in golden_digests.json.  After a format
+change made on purpose (and recorded in CHANGES.md), print the new ones with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from omegalab.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+QUANTITIES = ("omega", "cs", "z", "cst", "csbt")
+TEMPERATURES = ("1/2", "2/3", "4/5", "5/6")
+PRECISIONS = ("8", "200")
+FIXEDPOINT_PAIRS = (("1/3", "2/3"), ("1/2", "3/4"), ("1/4", "1/2"))
+
+
+def _tag(text: str) -> str:
+    return text.replace("/", "_")
+
+
+def cases() -> dict[str, tuple[list[str], list[str]]]:
+    """name -> (argv without --log, output files it writes, relative to the run dir)."""
+    out = {}
+    for q in QUANTITIES:
+        for T in TEMPERATURES:
+            name = f"measure_{q}_{_tag(T)}"
+            out[name] = (["measure", "--quantity", q, "--T", T, "--out", f"{name}.json"], [f"{name}.json"])
+    for q in ("z", "cst"):
+        for T in ("2/3", "4/5"):
+            for prec in PRECISIONS:
+                name = f"measure_{q}_{_tag(T)}_prec{prec}"
+                argv = ["measure", "--quantity", q, "--T", T, "--prec", prec, "--out", f"{name}.json"]
+                out[name] = (argv, [f"{name}.json"])
+    out["census_2_3"] = (
+        ["census", "--T", "2/3", "--out", "census_2_3.csv", "--members", "members_2_3.jsonl"],
+        ["census_2_3.csv", "members_2_3.jsonl"],
+    )
+    out["extract_2_3"] = (
+        ["extract", "--n", "12", "--T", "2/3", "--out", "extract_2_3.json"],
+        ["extract_2_3.json"],
+    )
+    for T, t in FIXEDPOINT_PAIRS:
+        name = f"fixedpoint_{_tag(T)}_{_tag(t)}"
+        out[name] = (["fixedpoint", "--T", T, "--t", t, "--out", f"{name}.json"], [f"{name}.json"])
+    return out
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _make_log(workdir: Path) -> Path:
+    log = workdir / "log14.jsonl"
+    assert main(["enumerate", "--max-len", "14", "--out", str(log)]) == 0
+    return log
+
+
+def _run(workdir: Path, log: Path, name: str) -> dict[str, str]:
+    argv, files = cases()[name]
+    argv = [a if not a.endswith((".json", ".csv", ".jsonl")) else str(workdir / a) for a in argv]
+    assert main(argv + ["--log", str(log)]) == 0
+    return {f: _digest(workdir / f) for f in files}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.fixture(scope="module")
+def log14(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    return workdir, _make_log(workdir)
+
+
+def test_log_digest(golden, log14):
+    _, log = log14
+    assert _digest(log) == golden["log14.jsonl"]
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_artifact_digest(golden, log14, name, capsys):
+    workdir, log = log14
+    got = _run(workdir, log, name)
+    capsys.readouterr()
+    assert got == {f: golden[f] for f in got}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        workdir = Path(tmp)
+        log = _make_log(workdir)
+        digests = {"log14.jsonl": _digest(log)}
+        for name in sorted(cases()):
+            digests.update(_run(workdir, log, name))
+    sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
