@@ -8,8 +8,9 @@ pow2_enclosure, which rounds outward so that enclosures are always sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from math import gcd, isqrt
 
 
@@ -114,11 +115,14 @@ class Dyadic:
         return f"Dyadic({self.num}, {self.exp})"
 
     def decimal(self) -> str:
-        """Exact decimal string (dyadics have terminating decimals)."""
+        """Exact decimal string (dyadics have terminating decimals).
+
+        Digits go through Decimal, which has no int-to-string digit limit.
+        """
         num, exp = self.num, self.exp
         sign = "-" if num < 0 else ""
         num = abs(num) * 5 ** exp
-        digits = str(num).rjust(exp + 1, "0")
+        digits = str(Decimal(num)).rjust(exp + 1, "0")
         whole, frac = digits[: len(digits) - exp], digits[len(digits) - exp :]
         return sign + (f"{whole}.{frac}" if frac else whole)
 
@@ -128,7 +132,7 @@ class Dyadic:
         s = s.lstrip("+-")
         whole, _, frac = s.partition(".")
         exp = len(frac)
-        scaled = int((whole or "0") + frac)
+        scaled = int(Decimal((whole or "0") + frac))
         if scaled % 5 ** exp:
             raise ValueError(f"{s} is not an exact dyadic decimal")
         return cls(sign * scaled // 5 ** exp, exp)
@@ -178,7 +182,6 @@ class DyadicInterval:
 _ROOT_METHOD_MAX_DEN = 64
 
 
-@lru_cache(maxsize=1 << 16)
 def pow2_enclosure(num: int, den: int, prec: int) -> DyadicInterval:
     """Enclosure of 2**(-num/den) with width <= 2**-prec.
 
@@ -187,15 +190,7 @@ def pow2_enclosure(num: int, den: int, prec: int) -> DyadicInterval:
     a square-root ladder over the exponent's binary digits.  Both round
     outward, so the enclosure is always sound.
     """
-    if num < 0 or den < 1 or prec < 1:
-        raise ValueError("need num >= 0, den >= 1, prec >= 1")
-    if num % den == 0:
-        return DyadicInterval.point(Dyadic.pow2(num // den))
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    if den <= _ROOT_METHOD_MAX_DEN:
-        return _pow2_by_root(num, den, prec, _fraction_root(num % den, den, prec))
-    return _pow2_by_ladder(num, den, prec)
+    return SharedRootPow2(prec).enclosure(num, den)
 
 
 def _fraction_root(r: int, den: int, prec: int) -> int:
@@ -218,7 +213,7 @@ def _pow2_by_root(num: int, den: int, prec: int, root: int) -> DyadicInterval:
 
 
 class SharedRootPow2:
-    """pow2_enclosure at one precision, computing each den-th root once.
+    """Enclosures of 2**(-num/den) at one precision, computing each den-th root once.
 
     Roots are keyed by (num % den, den) after reduction: exponents of one
     partial-sum table reduce to different denominators (|s| * 5/4 gives 4, 2
@@ -234,7 +229,7 @@ class SharedRootPow2:
         self._roots: dict[tuple[int, int], int] = {}
 
     def enclosure(self, num: int, den: int) -> DyadicInterval:
-        """Same interval as pow2_enclosure(num, den, self.prec)."""
+        """Enclosure of 2**(-num/den) with width <= 2**-self.prec."""
         if num < 0 or den < 1:
             raise ValueError("need num >= 0, den >= 1")
         g = gcd(num, den)
@@ -242,7 +237,7 @@ class SharedRootPow2:
         if den == 1:
             return DyadicInterval.point(Dyadic.pow2(num))
         if den > _ROOT_METHOD_MAX_DEN:
-            return pow2_enclosure(num, den, self.prec)
+            return _pow2_by_ladder(num, den, self.prec)
         key = (num % den, den)
         root = self._roots.get(key)
         if root is None:

@@ -8,31 +8,36 @@ census to produce a string the budgeted machine cannot compress.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .bits import pair_to_bits
 from .census import census
 from .dyadic import Dyadic, DyadicInterval
 from .enumerator import EnumerationResult
-from .measures import pow2_term
+from .measures import PartialSums, stream_sums
 
 
 class NoCutoff(Exception):
     """The full-budget sum never exceeds the given prefix value."""
 
 
-def _mode_terms(enum: EnumerationResult, T: Fraction, mode: str):
-    """(stream, exponent per element) for the two sum families.
+def _mode_sums(enum: EnumerationResult, T, mode: str, prec: int) -> PartialSums:
+    """Partial-sum table of one of the two sum families, for 0 < T <= 1.
 
     cs mode sums 2**(-|s|/T) over strings with H_up(s) < |s|; csb mode sums
-    2**(-|s|) over strings with H_up(s) < T|s|.
+    2**(-|s|) over strings with H_up(s) < T|s|, so every csb entry is exact.
     """
+    t = Fraction(T)
+    if not 0 < t <= 1:
+        raise ValueError("cutoff and tail need 0 < T <= 1")
     if mode == "cs":
-        stream = enum.compressible_stream(1)
-        return stream, lambda s: Fraction(len(s)) / T
+        return stream_sums(enum, t, prec)
     if mode == "csb":
-        stream = enum.compressible_stream(T)
-        return stream, lambda s: Fraction(len(s))
+        return enum.partial_sums(
+            ("csb", t),
+            lambda: PartialSums(enum.compressible_stream(t).lengths, 1, None, False),
+        )
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -42,19 +47,14 @@ def find_cutoff(
     """Least k with (certified lower bound of) sum of first k terms > 0.alpha_prefix.
 
     Comparing against the interval's lower end keeps the strict inequality
-    sound under outward rounding.
+    sound under outward rounding; lower ends never decrease along the table.
     """
-    t = Fraction(T)
-    if not 0 < t <= 1:
-        raise ValueError("cutoff search needs 0 < T <= 1")
+    sums = _mode_sums(enum, T, mode, prec).full()
     alpha = Dyadic(int(alpha_prefix, 2) if alpha_prefix else 0, len(alpha_prefix))
-    stream, exponent = _mode_terms(enum, t, mode)
-    running = DyadicInterval.zero()
-    for k, s in enumerate(stream.members, start=1):
-        running = running + pow2_term(exponent(s), prec)
-        if alpha < running.lo:
-            return k
-    raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
+    k = bisect_right(sums, alpha, key=lambda iv: iv.lo)
+    if k == len(sums):
+        raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
+    return k
 
 
 def extract_incompressible(
@@ -97,10 +97,11 @@ def verify_incompressible(enum: EnumerationResult, s: str, T=1) -> bool:
 def tail_after_cutoff(
     enum: EnumerationResult, k: int, T=1, mode: str = "cs", prec: int = 64
 ) -> DyadicInterval:
-    """Enclosure of the sum of terms strictly after position k."""
-    t = Fraction(T)
-    stream, exponent = _mode_terms(enum, t, mode)
-    running = DyadicInterval.zero()
-    for s in stream.members[k:]:
-        running = running + pow2_term(exponent(s), prec)
-    return running
+    """Enclosure of the sum of terms strictly after position k, 0 <= k <= K.
+
+    The difference S_K - S_k of two table entries: exact on exact tables,
+    otherwise wider than the sum of the tail's own enclosures by twice the
+    width of S_k.
+    """
+    sums = _mode_sums(enum, T, mode, prec)
+    return sums.full()[-1] - sums.at(k)

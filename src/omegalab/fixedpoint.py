@@ -13,15 +13,15 @@ so every inequality check is sound.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import bit_prefix_value, expansion_prefix, pair_to_bits
 from .dyadic import Dyadic, DyadicInterval
 from .enumerator import EnumerationResult
+from .extractor import NoCutoff, find_cutoff, tail_after_cutoff
 from .machine import Machine, OutcomeKind, phi
-from .measures import cs_lower, cst_lower, pow2_term, stream_sums
+from .measures import cs_lower, cst_lower, stream_sums
 
 
 class ReconstructFailed(Exception):
@@ -96,7 +96,7 @@ def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConsta
         c_upper += 1
 
     l1 = enum.compressible_stream(1).lengths[0]
-    term_lo = pow2_term(Fraction(l1) / T, prec).lo.as_fraction()
+    term_lo = z_k(enum, 1, T, prec).lo.as_fraction()
     lower = ln2_lo * l1 * term_lo
     if lower <= 0:
         raise ReconstructFailed("first-term lower bound vanished; raise prec")
@@ -273,27 +273,23 @@ def default_context(enum: EnumerationResult, T, t, depth: int = 48, prec: int = 
 @dataclass(frozen=True)
 class _Frame:
     k0: int
-    l0: int
-    m0: int
-    f_l0: Fraction
-    g_m0: Fraction
     t_n: str
 
 
 def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiContext) -> _Frame:
+    """Cutoff k0 and the n-bit expansion of the first f(l0) with Z_k0(f(l0)) < some g(m0)."""
     if n < 1:
         raise ReconstructFailed("n must be positive")
-    alpha = Dyadic(int(cs_prefix, 2) if cs_prefix else 0, len(cs_prefix))
-    cs_sums = stream_sums(enum, 1, None).full()  # exact sums of 2**-|s_i|
-    k0 = bisect_right(cs_sums, alpha, key=lambda iv: iv.lo)  # least k with alpha < S_k
-    if k0 == len(cs_sums):
-        raise ReconstructFailed("partial sums never exceed the given prefix")
-    for l0, f_l in enumerate(ctx.f, start=1):
-        z_hi = z_k(enum, k0, f_l, ctx.prec).hi.as_fraction()
-        for m0, g_m in enumerate(ctx.g, start=1):
-            if z_hi < g_m:
-                t_n = expansion_prefix(f_l, n)
-                return _Frame(k0, l0, m0, f_l, g_m, t_n)
+    try:
+        k0 = find_cutoff(enum, cs_prefix)
+    except NoCutoff:
+        raise ReconstructFailed("partial sums never exceed the given prefix") from None
+    # Some g(m) exceeds z_hi exactly when the largest does; z_hi > 0, so an
+    # empty g certifies nothing.
+    g_max = max(ctx.g, default=0)
+    for f_l in ctx.f:
+        if z_k(enum, k0, f_l, ctx.prec).hi.as_fraction() < g_max:
+            return _Frame(k0, expansion_prefix(f_l, n))
     raise ReconstructFailed("no certified (l0, m0) pair within the context tables")
 
 
@@ -316,14 +312,16 @@ def phi_reconstruct(
 
 def true_selector(enum: EnumerationResult, n: int, cs_prefix: str, target: Fraction, ctx: PhiContext) -> str:
     """Selector bits that make phi_reconstruct return target's n-bit prefix."""
-    frame = _candidate_frame(enum, n, cs_prefix, ctx)
+    return _selector(_candidate_frame(enum, n, cs_prefix, ctx), n, target, ctx.c)
+
+
+def _selector(frame: _Frame, n: int, target: Fraction, c: int) -> str:
     want = int(expansion_prefix(Fraction(target), n), 2)
-    base = int(frame.t_n, 2)
-    diff = want - base
+    diff = want - int(frame.t_n, 2)
     j = 0 if diff == 0 else (2 * diff - 1 if diff > 0 else -2 * diff)
-    if j >= (1 << (ctx.c + 1)) + 3:
+    if j >= (1 << (c + 1)) + 3:
         raise ReconstructFailed("target prefix is not among the candidates")
-    return pair_to_bits(j, ctx.c + 2)
+    return pair_to_bits(j, c + 2)
 
 
 @dataclass(frozen=True)
@@ -356,13 +354,9 @@ def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext
     m = -((-T.numerator * n) // T.denominator)  # ceil(T n)
     prefix = expansion_prefix(cs_value, m, ones=True)
     frame = _candidate_frame(enum, n, prefix, ctx)
-    selector = true_selector(enum, n, prefix, T, ctx)
-    rebuilt = phi_reconstruct(enum, n, prefix, selector, ctx)
-    tail_ok = (
-        cst_lower(enum, T, ctx.prec).hi.as_fraction()
-        - z_k(enum, frame.k0, T, ctx.prec).lo.as_fraction()
-        < Fraction(1, 1 << n)
-    )
+    selector = _selector(frame, n, T, ctx.c)
+    rebuilt = candidate_at(frame.t_n, ctx.c, int(selector, 2))
+    tail_ok = tail_after_cutoff(enum, frame.k0, T, "cs", ctx.prec).hi < Dyadic.pow2(n)
     return RoundTrip(n, prefix, selector, rebuilt, expansion_prefix(T, n), tail_ok, frame.k0)
 
 

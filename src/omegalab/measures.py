@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .dyadic import Dyadic, DyadicInterval, SharedRootPow2, pow2_enclosure
+from .dyadic import Dyadic, DyadicInterval, SharedRootPow2
 from .enumerator import EnumerationResult
 
 
@@ -23,13 +23,6 @@ def _as_temperature(T) -> Fraction:
     if t <= 0:
         raise ValueError("temperature must be positive")
     return t
-
-
-def pow2_term(exponent: Fraction, prec: int) -> DyadicInterval:
-    """Enclosure of 2**-exponent for a nonnegative rational exponent."""
-    if exponent.denominator == 1:
-        return DyadicInterval.point(Dyadic.pow2(exponent.numerator))
-    return pow2_enclosure(exponent.numerator, exponent.denominator, prec)
 
 
 class PartialSums:
@@ -116,9 +109,10 @@ def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
     program length, and N equal intervals add up to exactly scale(N).
     """
     t = _as_temperature(T)
+    pow2 = SharedRootPow2(prec)
     total = DyadicInterval.zero()
     for length, n in Counter(len(ev.program) for ev in enum.events).items():
-        total = total + pow2_term(Fraction(length) / t, prec).scale(n)
+        total = total + pow2.enclosure(length * t.denominator, t.numerator).scale(n)
     return total
 
 

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -56,6 +57,18 @@ def test_dyadic_arithmetic_matches_fractions(a, b):
 @given(dyadics)
 def test_decimal_roundtrip(d):
     assert Dyadic.from_decimal(d.decimal()) == d
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Dyadic(1, 15000), Dyadic(-(3**9001), 6138), Dyadic(3**10000, 0)],
+    ids=["2^-15000", "-3^9001/2^6138", "3^10000"],
+)
+def test_decimal_roundtrip_past_int_str_digit_limit(d):
+    text = d.decimal()
+    assert len(text) > 4300  # Python's default int-to-string digit limit
+    assert Fraction(Decimal(text)) == d.as_fraction()
+    assert Dyadic.from_decimal(text) == d
 
 
 def test_from_fraction_rejects_non_dyadic():

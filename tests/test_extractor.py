@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from omegalab.bits import expansion_prefix, pair_to_bits
+from omegalab.dyadic import Dyadic, DyadicInterval, pow2_enclosure
 from omegalab.extractor import (
     NoCutoff,
     extract_incompressible,
@@ -79,3 +80,86 @@ def test_tail_after_cutoff(enum14):
     last = Fraction(1, 1 << len(members[-1]))
     assert last in tail
     assert tail_after_cutoff(enum14, len(members)).exact
+
+
+def test_tail_rejects_out_of_range(enum14):
+    k_full = len(enum14.compressible_stream(1))
+    for k in (-1, k_full + 1):
+        with pytest.raises(ValueError):
+            tail_after_cutoff(enum14, k)
+    for T in (0, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            tail_after_cutoff(enum14, 0, T)
+
+
+# The per-member loops the table reads replaced, kept as oracles: one
+# pow2_enclosure per stream element, added interval by interval.
+
+def old_terms(enum, T, mode, prec):
+    stream = enum.compressible_stream(1 if mode == "cs" else T)
+    terms = []
+    for s in stream.members:
+        e = Fraction(len(s)) / T if mode == "cs" else Fraction(len(s))
+        terms.append(pow2_enclosure(e.numerator, e.denominator, prec))
+    return terms
+
+
+def old_find_cutoff(terms, alpha_prefix):
+    alpha = Dyadic(int(alpha_prefix, 2) if alpha_prefix else 0, len(alpha_prefix))
+    running = DyadicInterval.zero()
+    for k, term in enumerate(terms, start=1):
+        running = running + term
+        if alpha < running.lo:
+            return k
+    return None
+
+
+def old_tails(terms):
+    """tail[k] = terms after position k; dyadic addition is exact, so summing
+    from the back gives the old forward loop's interval bit for bit."""
+    tails = [DyadicInterval.zero()]
+    for term in reversed(terms):
+        tails.append(term + tails[-1])
+    return tails[::-1]
+
+
+def oracle_prefixes(total: Fraction) -> list[str]:
+    """The empty prefix, every ones-expansion prefix of 1-16 bits, and those
+    reaching 16 bits past the leading zeros, so sums far below 2**-16 are
+    probed as well."""
+    lead = total.denominator.bit_length() - total.numerator.bit_length() + 1
+    lengths = set(range(1, 17)) | set(range(lead, lead + 17))
+    return [""] + [expansion_prefix(total, m, ones=True) for m in sorted(lengths)]
+
+
+@pytest.mark.parametrize("L", [14, 18])
+@pytest.mark.parametrize("mode", ["cs", "csb"])
+@pytest.mark.parametrize("prec", [8, 64])
+@pytest.mark.parametrize(
+    "T", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)], ids=str
+)
+def test_cutoff_and_tail_match_per_member_loop(enum_at, L, mode, prec, T):
+    enum = enum_at(L)
+    terms = old_terms(enum, T, mode, prec)
+    total = sum(terms, DyadicInterval.zero())
+    for prefix in oracle_prefixes(total.lo.as_fraction()):
+        want = old_find_cutoff(terms, prefix)
+        assert want is not None
+        assert find_cutoff(enum, prefix, T, mode, prec) == want
+    above = "1" * 16
+    assert Dyadic(int(above, 2), len(above)) > total.hi
+    assert old_find_cutoff(terms, above) is None
+    with pytest.raises(NoCutoff):
+        find_cutoff(enum, above, T, mode, prec)
+
+    exact = all(term.exact for term in terms)
+    head_width = Dyadic.zero()  # summed widths of the terms up to k
+    for k, want in enumerate(old_tails(terms)):
+        got = tail_after_cutoff(enum, k, T, mode, prec)
+        if exact:
+            assert got == want
+        else:
+            assert got.lo <= want.lo and want.hi <= got.hi
+            assert got.width() - want.width() <= head_width * 2
+        if k < len(terms):
+            head_width = head_width + terms[k].width()

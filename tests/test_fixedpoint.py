@@ -8,7 +8,9 @@ from omegalab.enumerator import Budget, EnumerationResult, HaltEvent
 from omegalab.fixedpoint import (
     CompositeMachine,
     GapConstants,
+    PhiContext,
     ReconstructFailed,
+    _candidate_frame,
     candidate_at,
     candidate_set,
     check_floor_identities,
@@ -28,7 +30,7 @@ from omegalab.fixedpoint import (
 )
 from omegalab.machine import Machine, raw_program
 from omegalab.bits import gamma_encode, nat_to_string
-from omegalab.measures import cst_lower
+from omegalab.measures import cs_lower, cst_lower
 
 T = Fraction(1, 2)
 t = Fraction(3, 4)
@@ -77,13 +79,14 @@ def test_constants_frozen(enum14, consts):
 
 def test_constants_are_least(enum14, consts):
     # one notch tighter must fail the defining inequality
-    from omegalab.measures import pow2_term
+    from omegalab.dyadic import pow2_enclosure
 
     ln2_lo, ln2_hi = ln2_enclosure(96)
     w_hi = w_k(enum14, 115, t, 96).hi.as_fraction()
     assert Fraction(1 << consts.c_upper) >= w_hi * ln2_hi / (T * T)
     l1 = enum14.compressible_stream(1).lengths[0]
-    term = pow2_term(Fraction(l1) / T, 96).lo.as_fraction()
+    e = Fraction(l1) / T
+    term = pow2_enclosure(e.numerator, e.denominator, 96).lo.as_fraction()
     assert Fraction(1, 1 << consts.c_lower) <= ln2_lo * l1 * term
     assert Fraction(1, 1 << (consts.c_lower - 1)) > ln2_lo * l1 * term
 
@@ -223,6 +226,55 @@ def test_roundtrip_selected_n(enum14, ctx):
         assert len(trip.selector) == ctx.c + 2
         assert trip.reconstructed == expansion_prefix(T, n)
         assert trip.tail_certified
+
+
+def test_roundtrip_refuses_divergent_temperature(enum14, ctx):
+    with pytest.raises(ValueError):
+        reconstruction_roundtrip(enum14, Fraction(3, 2), 8, ctx)
+
+
+def old_candidate_frame(enum, n, cs_prefix, ctx):
+    """The replaced frame search, kept as the oracle: a per-member cutoff on
+    exact 2**-|s| sums, then the nested (l0, m0) scan; None where it failed."""
+    alpha = Fraction(int(cs_prefix, 2) if cs_prefix else 0, 1 << len(cs_prefix))
+    running = Fraction(0)
+    for k0, s in enumerate(enum.compressible_stream(1).members, start=1):
+        running += Fraction(1, 1 << len(s))
+        if alpha < running:
+            break
+    else:
+        return None
+    for f_l in ctx.f:
+        z_hi = z_k(enum, k0, f_l, ctx.prec).hi.as_fraction()
+        for g_m in ctx.g:
+            if z_hi < g_m:
+                return k0, expansion_prefix(f_l, n)
+    return None
+
+
+@pytest.mark.parametrize("context", ["default", "unsorted"])
+def test_candidate_frame_matches_nested_scan(enum14, ctx, context):
+    cs_value = cs_lower(enum14).as_fraction()
+    prefixes = [""] + [expansion_prefix(cs_value, m, ones=True) for m in range(1, 17)]
+    prefixes.append("1" * 16)  # above the sum: no cutoff
+    if context == "unsorted":
+        # g unsorted, with its largest entry between Z_k0 at f(2) and at f(3)
+        # for the 12-bit prefix, so that prefix needs l0 = 3
+        k0 = old_candidate_frame(enum14, 1, prefixes[12], ctx)[0]
+        z2, z3 = (z_k(enum14, k0, f, ctx.prec).hi.as_fraction() for f in ctx.f[1:3])
+        assert z2 > z3
+        g_mid = (z2 + z3) / 2
+        ctx = PhiContext(ctx.f[:8], (g_mid / 4, g_mid, g_mid / 2), ctx.c, ctx.prec)
+        assert old_candidate_frame(enum14, 8, prefixes[12], ctx)[1] == expansion_prefix(ctx.f[2], 8)
+    for n in (1, 4, 8, 16):
+        for prefix in prefixes:
+            want = old_candidate_frame(enum14, n, prefix, ctx)
+            if want is None:
+                with pytest.raises(ReconstructFailed):
+                    _candidate_frame(enum14, n, prefix, ctx)
+            else:
+                frame = _candidate_frame(enum14, n, prefix, ctx)
+                assert (frame.k0, frame.t_n) == want
 
 
 def test_wrong_selector_reconstructs_wrong_prefix(enum14, ctx):

@@ -1,6 +1,6 @@
 """Partial-sum tables and the caches on EnumerationResult.
 
-The oracle is the per-term loop the tables replaced: one pow2_term per
+The oracle is the per-term loop the tables replaced: one pow2_enclosure per
 stream element, added interval by interval.  Dyadic sums are exact, so
 every table entry must equal the oracle's running sum bit for bit.
 """
@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 
 from omegalab import enumerator
-from omegalab.dyadic import DyadicInterval
+from omegalab.dyadic import DyadicInterval, pow2_enclosure
 from omegalab.enumerator import CompressibleStream
 from omegalab.fixedpoint import w_k, z_k
-from omegalab.measures import cst_lower, pow2_term, stream_sums
+from omegalab.measures import cst_lower, stream_sums
 
 TEMPERATURES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(5, 6)]
 PRECISIONS = [1, 8, 64, 96, 200]
@@ -22,14 +22,15 @@ PRECISIONS = [1, 8, 64, 96, 200]
 def sum_pow2(exponents, prec):
     total = DyadicInterval.zero()
     for e in exponents:
-        total = total + pow2_term(e, prec)
+        total = total + pow2_enclosure(e.numerator, e.denominator, prec)
     return total
 
 
 def oracle_prefix_sums(lengths, x, prec, weighted):
     sums = [DyadicInterval.zero()]
     for length in lengths:
-        term = pow2_term(Fraction(length) / x, prec)
+        e = Fraction(length) / x
+        term = pow2_enclosure(e.numerator, e.denominator, prec)
         sums.append(sums[-1] + (term.scale(length) if weighted else term))
     return sums
 
