@@ -52,26 +52,6 @@ def gamma_encode(n: int) -> str:
     return "0" * (len(numeral) - 1) + numeral
 
 
-def gamma_decode(s: str) -> tuple[int, int]:
-    """Decode a gamma codeword at the start of s.
-
-    Returns (value, consumed).  Raises IncompleteCode if s ends before the
-    codeword does; callers turn that into a needs-more-input outcome.
-    """
-    check_bits(s)
-    zeros = 0
-    while zeros < len(s) and s[zeros] == "0":
-        zeros += 1
-    end = 2 * zeros + 1
-    if zeros == len(s) or end > len(s):
-        raise IncompleteCode(s)
-    return int(s[zeros:end], 2), end
-
-
-class IncompleteCode(Exception):
-    """A self-delimiting codeword ran past the end of the input."""
-
-
 def bit_prefix_value(prefix: str) -> Fraction:
     """Value of 0.prefix as an exact rational."""
     check_bits(prefix)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .bits import nat_to_string
@@ -68,7 +69,7 @@ def write_profile_csv(rows: list[CensusRow], path) -> None:
                 [
                     row.n,
                     row.count,
-                    1 << row.n,
+                    Decimal(1 << row.n),  # no int-to-string digit limit
                     "" if row.gap is None else f"{row.gap:.6f}",
                     "" if row.h_upper_n is None else row.h_upper_n,
                 ]

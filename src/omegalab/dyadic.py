@@ -112,7 +112,7 @@ class Dyadic:
         return self.num != 0
 
     def __repr__(self) -> str:
-        return f"Dyadic({self.num}, {self.exp})"
+        return f"Dyadic({Decimal(self.num)}, {self.exp})"
 
     def decimal(self) -> str:
         """Exact decimal string (dyadics have terminating decimals).

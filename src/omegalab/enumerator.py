@@ -7,10 +7,10 @@ with the final step cap; the round in which a program first halts is then
 max(|p|, ceil(log2 steps)).
 
 There is one enumeration path.  The halting programs of each length come
-straight from the branch grammar (_purecore.generate_halts), which also
-counts every other outcome; only the subtrees of registered submachines
-are run program by program, through Machine.run_pair.  This keeps
-enumeration stateless, replayable and deterministic.
+straight from the branch grammar (_purecore.generate_halts), registered
+submachine rows included, which also counts every other outcome; no
+program is run one by one.  This keeps enumeration stateless, replayable
+and deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 
 from . import _purecore
 from .bits import pair_to_bits
-from .machine import Machine, OutcomeKind
+from .machine import Machine, identity_digest
 
 
 @dataclass(frozen=True)
@@ -191,42 +191,26 @@ def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> Enum
         "no_such_submachine": 0,
         "out_of_budget": 0,
     }
-    raw_events = []
+    keyed = []
     for length in range(1, budget.max_len + 1):
         if length > budget.max_rounds:
             # never scheduled: round r only admits programs of length <= r
             counts["out_of_budget"] += 1 << length
             continue
-        halts, nmi, early, oob, no_sub, routed = _purecore.generate_halts(
-            length, cap, machine.registry
-        )
+        halts, nmi, early, oob, no_sub = _purecore.generate_halts(length, cap, machine.rows)
         counts["needs_more_input"] += nmi
         counts["halted_early"] += early
         counts["out_of_budget"] += oob
         counts["no_such_submachine"] += no_sub
+        # steps <= cap, so the discovery round never passes max_rounds
         for val, out_val, out_len, steps in halts:
-            raw_events.append((length, val, pair_to_bits(out_val, out_len), steps))
-        for lo, hi in routed:
-            for val in range(lo, hi):
-                outcome = machine.run_pair(val, length, cap)
-                if outcome.kind is OutcomeKind.HALT:
-                    raw_events.append((length, val, outcome.output, outcome.steps))
-                else:
-                    counts[outcome.kind.value] += 1
-
-    keyed = []
-    for length, val, output, steps in raw_events:
-        rnd = max(length, _ceil_log2(steps))
-        if rnd > budget.max_rounds:
-            # a registered decoder may report more steps than its budget
-            counts["out_of_budget"] += 1
-            continue
-        keyed.append((rnd, length, val, output, steps))
+            keyed.append((max(length, _ceil_log2(steps)), length, val, out_val, out_len, steps))
     keyed.sort(key=lambda item: item[:3])
 
-    events = []
-    for seq, (rnd, length, val, output, steps) in enumerate(keyed, start=1):
-        events.append(HaltEvent(seq, rnd, pair_to_bits(val, length), output, steps))
+    events = [
+        HaltEvent(seq, rnd, pair_to_bits(val, length), pair_to_bits(out_val, out_len), steps)
+        for seq, (rnd, length, val, out_val, out_len, steps) in enumerate(keyed, start=1)
+    ]
     counts["halt"] = len(events)
 
     return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts)
@@ -260,11 +244,22 @@ def write_log(result: EnumerationResult, path) -> None:
 
 
 def load_log(path) -> EnumerationResult:
+    """Read a log written by write_log, refusing one whose header does not match it."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         events = []
         for line in fh:
             d = json.loads(line)
             events.append(HaltEvent(d["seq"], d["round"], d["program"], d["output"], d["steps"]))
-    budget = Budget(header["budget"]["max_len"], header["budget"]["max_rounds"])
+    limits = header["budget"]
+    if not all(type(limits.get(k)) is int and limits[k] >= 1 for k in ("max_len", "max_rounds")):
+        raise ValueError(f"{path}: budget fields must be integers >= 1, got {limits}")
+    if header["machine"] != identity_digest(header["identity"]):
+        raise ValueError(f"{path}: machine digest {header['machine']} does not match its identity")
+    if header["counts"].get("halt") != len(events):
+        raise ValueError(
+            f"{path}: header counts {header['counts'].get('halt')} halt events, "
+            f"the log holds {len(events)}"
+        )
+    budget = Budget(limits["max_len"], limits["max_rounds"])
     return EnumerationResult(events, budget, header["machine"], header["identity"], header["counts"])

@@ -1,16 +1,18 @@
 """The concrete prefix-free machine.
 
-The machine decodes a program bit by bit with _purecore.decode_pair, the
-one decoder; only _purecore encodes the branch table (BRANCH_TABLE below
-merely names it in the machine identity).  It halts only when the decoder
-finishes having consumed the input exactly.  Prefix-freeness of the
-halting set holds by construction: the decoder's reads are
-self-delimiting, so a proper prefix of a halting program either stops
-early or runs out of input.
+The machine decodes a program with _purecore.decode_pair, the one decoder;
+only _purecore encodes the branch table (BRANCH_TABLE below merely names it
+in the machine identity), the rows of registered submachines included.  It
+halts only when the decoder finishes having consumed the input exactly.
+Prefix-freeness of the halting set holds by construction: the decoder's
+reads are self-delimiting, so a proper prefix of a halting program either
+stops early or runs out of input.
 
-The '111' branch routes to registered submachines.  The registry is part
-of the machine identity; registering the same decoders in the same slots
-reproduces bit-identical results.
+The '111' branch routes to registered submachines.  A registered decoder
+is a marker naming one row of the branch table: ReversePayloadDecoder or
+LoopForeverDecoder.  The registry is part of the machine identity;
+registering the same decoders in the same slots reproduces bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import _purecore
-from .bits import IncompleteCode, bits_to_pair, gamma_decode, pair_to_bits, string_to_nat
+from .bits import bits_to_pair, pair_to_bits, string_to_nat
 
 BRANCH_TABLE = (
     "v1:"
@@ -59,50 +61,39 @@ class RegistryError(ValueError):
     pass
 
 
+_KINDS = {
+    _purecore.HALT: OutcomeKind.HALT,
+    _purecore.NEEDS_INPUT: OutcomeKind.NEEDS_MORE_INPUT,
+    _purecore.HALTED_EARLY: OutcomeKind.HALTED_EARLY,
+    _purecore.OUT_OF_BUDGET: OutcomeKind.OUT_OF_BUDGET,
+    _purecore.NO_SUCH_SUBMACHINE: OutcomeKind.NO_SUCH_SUBMACHINE,
+}
+
+
 class SubmachineDecoder:
-    """Base for registered decoders; subclasses keep their reads self-delimiting."""
+    """Base for registered decoders: a name and the branch-table row it selects."""
 
     name = "abstract"
-
-    def run(self, bits: str, step_budget: int) -> MachineOutcome:
-        raise NotImplementedError
+    row = None
 
 
 class ReversePayloadDecoder(SubmachineDecoder):
     """Reads g(n) then w with |w| = n-1 and outputs w reversed."""
 
     name = "reverse-payload"
-
-    def run(self, bits: str, step_budget: int) -> MachineOutcome:
-        try:
-            n, consumed = gamma_decode(bits)
-        except IncompleteCode:
-            if len(bits) + 1 > step_budget:
-                return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, steps=step_budget)
-            return MachineOutcome(OutcomeKind.NEEDS_MORE_INPUT, consumed=len(bits), steps=len(bits))
-        end = consumed + n - 1
-        if consumed > step_budget:
-            return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, steps=step_budget)
-        if end > len(bits):
-            steps = min(len(bits), step_budget)
-            if len(bits) + 1 > step_budget:
-                return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, steps=step_budget)
-            return MachineOutcome(OutcomeKind.NEEDS_MORE_INPUT, consumed=len(bits), steps=steps)
-        out = bits[consumed:end][::-1]
-        steps = end + len(out) + 1
-        if steps > step_budget:
-            return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, steps=step_budget)
-        kind = OutcomeKind.HALT if end == len(bits) else OutcomeKind.HALTED_EARLY
-        return MachineOutcome(kind, out, consumed=end, steps=steps)
+    row = _purecore.REVERSE
 
 
 class LoopForeverDecoder(SubmachineDecoder):
     """Never halts; every run exhausts whatever budget it is given."""
 
     name = "loop-forever"
+    row = _purecore.LOOP
 
-    def run(self, bits: str, step_budget: int) -> MachineOutcome:
-        return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, steps=step_budget)
+
+def identity_digest(identity: str) -> str:
+    """The machine digest that logs and artifacts carry for an identity string."""
+    return hashlib.sha256(identity.encode()).hexdigest()[:16]
 
 
 class Machine:
@@ -110,10 +101,14 @@ class Machine:
 
     def __init__(self, registry: dict[int, SubmachineDecoder] | None = None):
         registry = dict(registry or {})
-        for index in registry:
+        for index, decoder in registry.items():
             if index < 1:
                 raise RegistryError(f"submachine index must be positive: {index}")
+            if getattr(decoder, "row", None) not in (_purecore.REVERSE, _purecore.LOOP):
+                raise RegistryError(f"no branch-table row for submachine {index}: {decoder!r}")
         self.registry = MappingProxyType(registry)
+        # {e: row}, the submachine rows _purecore decodes and generates
+        self.rows = MappingProxyType({e: d.row for e, d in registry.items()})
 
     def register_submachine(self, index: int, decoder: SubmachineDecoder) -> "Machine":
         """New machine with the decoder added; duplicate slots are an error."""
@@ -128,7 +123,7 @@ class Machine:
         return f"{BRANCH_TABLE};registry[{entries}]"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.identity().encode()).hexdigest()[:16]
+        return identity_digest(self.identity())
 
     def run(self, program: str, step_budget: int) -> MachineOutcome:
         if step_budget < 1:
@@ -137,34 +132,13 @@ class Machine:
         return self.run_pair(val, length, step_budget)
 
     def run_pair(self, val: int, length: int, step_budget: int) -> MachineOutcome:
-        kind, out_val, out_len, consumed, steps, sub_index = _purecore.decode_pair(
-            val, length, step_budget
+        code, out_val, out_len, consumed, steps = _purecore.decode_pair(
+            val, length, step_budget, self.rows
         )
-        if kind == _purecore.HALT:
-            return MachineOutcome(OutcomeKind.HALT, pair_to_bits(out_val, out_len), consumed, steps)
-        if kind == _purecore.NEEDS_INPUT:
-            return MachineOutcome(OutcomeKind.NEEDS_MORE_INPUT, None, consumed, steps)
-        if kind == _purecore.HALTED_EARLY:
-            return MachineOutcome(
-                OutcomeKind.HALTED_EARLY, pair_to_bits(out_val, out_len), consumed, steps
-            )
-        if kind == _purecore.OUT_OF_BUDGET:
-            return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, None, consumed, steps)
-        return self._run_submachine(val, length, step_budget, consumed, steps, sub_index)
-
-    def _run_submachine(self, val, length, budget, consumed, steps, index) -> MachineOutcome:
-        decoder = self.registry.get(index)
-        if decoder is None:
-            return MachineOutcome(OutcomeKind.NO_SUCH_SUBMACHINE, None, consumed, steps)
-        rest = pair_to_bits(val, length)[consumed:]
-        sub = decoder.run(rest, budget - steps)
-        if sub.kind in (OutcomeKind.HALT, OutcomeKind.HALTED_EARLY):
-            total = consumed + sub.consumed
-            kind = OutcomeKind.HALT if total == length else OutcomeKind.HALTED_EARLY
-            return MachineOutcome(kind, sub.output, total, steps + sub.steps)
-        if sub.kind is OutcomeKind.OUT_OF_BUDGET:
-            return MachineOutcome(OutcomeKind.OUT_OF_BUDGET, None, consumed + sub.consumed, budget)
-        return MachineOutcome(sub.kind, None, consumed + sub.consumed, steps + sub.steps)
+        output = None
+        if code in (_purecore.HALT, _purecore.HALTED_EARLY):
+            output = pair_to_bits(out_val, out_len)
+        return MachineOutcome(_KINDS[code], output, consumed, steps)
 
     def decode_prefix(self, bits: str, step_budget: int) -> MachineOutcome:
         """Self-delimiting read: accept the unique halting prefix, if any.

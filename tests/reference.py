@@ -29,14 +29,30 @@ def _payload(body, make_output):
     return "halt", make_output(w)
 
 
-def ref_decode(program):
-    """(status, output) with unlimited steps; submachine branch left symbolic."""
+def ref_decode(program, registry=None):
+    """(status, output) with unlimited steps.
+
+    Without a registry the submachine branch is left symbolic.  A registry
+    maps a submachine index to its decoder's name: a "reverse-payload" slot
+    reads g(n) w like the raw branch and outputs w reversed; a
+    "loop-forever" slot never halts, so it runs out of any budget.  Any
+    other index is no such submachine.
+    """
     if program.startswith("110"):
         return _payload(program[3:], lambda w: "0" * (int("1" + w, 2) - 1))
     if program.startswith("111"):
-        if _gamma(program[3:]) is None:
+        head = _gamma(program[3:])
+        if head is None:
             return "needs_more_input", None
-        return "submachine", None
+        if registry is None:
+            return "submachine", None
+        e, used = head
+        slot = registry.get(e)
+        if slot == "reverse-payload":
+            return _payload(program[3 + used :], lambda w: w[::-1])
+        if slot == "loop-forever":
+            return "out_of_budget", None
+        return "no_such_submachine", None
     if program.startswith("10"):
         return _payload(program[2:], lambda w: w + w)
     if program.startswith("0"):
@@ -44,13 +60,13 @@ def ref_decode(program):
     return "needs_more_input", None  # "", "1", "11"
 
 
-def ref_halting_set(max_len):
+def ref_halting_set(max_len, registry=None):
     """All (program, output) pairs with status halt, up to max_len bits."""
     out = []
     for length in range(1, max_len + 1):
         for val in range(1 << length):
             p = format(val, f"0{length}b")
-            status, s = ref_decode(p)
+            status, s = ref_decode(p, registry)
             if status == "halt":
                 out.append((p, s))
     return out

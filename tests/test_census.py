@@ -1,9 +1,10 @@
 import csv
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from omegalab.census import census, census_profile, write_profile_csv
+from omegalab.census import CensusRow, census, census_profile, write_profile_csv
 
 
 def test_row_basic(enum14):
@@ -57,3 +58,13 @@ def test_csv_shape(tmp_path, enum14):
     assert len(rows) == 18
     assert rows[13][:3] == ["12", "1", "4096"]
     assert rows[6][3] == ""  # no gap for empty rows
+
+
+def test_csv_past_int_str_digit_limit(tmp_path):
+    # 2**15000 has 4,516 decimal digits, past Python's default int-to-string limit
+    path = tmp_path / "census.csv"
+    write_profile_csv([CensusRow(15000, frozenset(), 0, None)], path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][:2] == ["15000", "0"]
+    assert int(Decimal(rows[1][2])) == 1 << 15000

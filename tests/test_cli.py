@@ -105,3 +105,51 @@ def test_usage_errors_exit_2(capsys):
 
 def test_missing_log_exits_1(capsys, tmp_path):
     assert main(["measure", "--quantity", "omega", "--log", str(tmp_path / "no.jsonl")]) == 1
+
+
+
+def _drop_last_event(header, events):
+    return events[:-1]
+
+
+def _edit_identity(header, events):
+    header["identity"] += "x"
+    return events
+
+
+def _rounds_as_string(header, events):
+    header["budget"]["max_rounds"] = str(header["budget"]["max_rounds"])
+    return events
+
+
+def _zero_length(header, events):
+    header["budget"]["max_len"] = 0
+    return events
+
+
+def _rewrite(log, path, edit):
+    """Copy log to path with edit(header, event_lines) applied."""
+    lines = log.read_text().splitlines()
+    header = json.loads(lines[0])
+    events = edit(header, lines[1:])
+    path.write_text("\n".join([json.dumps(header, sort_keys=True), *events]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_last_event, "halt events"),
+        (_edit_identity, "identity"),
+        (_rounds_as_string, "budget"),
+        (_zero_length, "budget"),
+    ],
+    ids=["last-event-dropped", "identity-edited", "rounds-not-int", "max-len-zero"],
+)
+def test_inconsistent_log_exits_1(log14, tmp_path, capsys, edit, message):
+    bad = _rewrite(log14, tmp_path / "bad.jsonl", edit)
+    capsys.readouterr()
+    assert main(["measure", "--quantity", "omega", "--log", str(bad)]) == 1
+    prefix = f"error: {bad}: "
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and message in err[len(prefix) :]

@@ -71,6 +71,13 @@ def test_decimal_roundtrip_past_int_str_digit_limit(d):
     assert Dyadic.from_decimal(text) == d
 
 
+def test_repr_past_int_str_digit_limit():
+    d = Dyadic(3**9100, 5)
+    assert repr(d) == f"Dyadic({Decimal(3**9100)}, 5)"
+    assert len(repr(d)) > 4300
+    assert repr(Dyadic(-3, 2)) == "Dyadic(-3, 2)"
+
+
 def test_from_fraction_rejects_non_dyadic():
     with pytest.raises(ValueError):
         Dyadic.from_fraction(Fraction(1, 3))

@@ -20,6 +20,7 @@ _KIND_NAMES = {
     _purecore.NEEDS_INPUT: "needs_more_input",
     _purecore.HALTED_EARLY: "halted_early",
     _purecore.OUT_OF_BUDGET: "out_of_budget",
+    _purecore.NO_SUCH_SUBMACHINE: "no_such_submachine",
 }
 _decoded = {}
 
@@ -27,21 +28,21 @@ _decoded = {}
 def _decode_length(machine, length, cap):
     """(val, outcome name, output, steps) for every program of one length.
 
-    Brute force: decode_pair on each program, and Machine.run_pair for the
-    ones that reach the submachine branch.  Cached per (registry, length, cap).
+    Brute force: decode_pair on each program.  Cached per (registry, length, cap).
     """
     key = (machine.digest(), length, cap)
     if key not in _decoded:
         rows = []
         for val in range(1 << length):
-            kind, out_val, out_len, _, steps, _ = _purecore.decode_pair(val, length, cap)
-            if kind == _purecore.SUBMACHINE:
-                sub = machine.run_pair(val, length, cap)
-                rows.append((val, sub.kind.value, sub.output, sub.steps))
-            else:
-                rows.append((val, _KIND_NAMES[kind], pair_to_bits(out_val, out_len), steps))
+            kind, out_val, out_len, _, steps = _purecore.decode_pair(val, length, cap, machine.rows)
+            rows.append((val, _KIND_NAMES[kind], pair_to_bits(out_val, out_len), steps))
         _decoded[key] = rows
     return _decoded[key]
+
+
+def _names(registry):
+    """The registry as the reference oracle reads it: index -> decoder name."""
+    return {e: d.name for e, d in REGISTRIES[registry].items()}
 
 
 def brute_force(machine, budget):
@@ -100,14 +101,15 @@ def test_rounds_and_order(enum14):
 
 
 @pytest.mark.parametrize("max_len", [12, 16])
-def test_matches_reference_halting_set(enum_at, max_len):
-    res = enum_at(max_len)
-    got = {(e.program, e.output) for e in res.events}
-    want = set(ref_halting_set(max_len))
-    assert got == want
-    steps = {e.program: e.steps for e in res.events}
-    for p, s in want:
-        assert steps[p] == ref_steps(p, s)
+def test_matches_reference_halting_set(max_len):
+    for registry in sorted(REGISTRIES):
+        res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(max_len))
+        got = {(e.program, e.output) for e in res.events}
+        want = set(ref_halting_set(max_len, _names(registry)))
+        assert got == want, registry
+        steps = {e.program: e.steps for e in res.events}
+        for p, s in want:
+            assert steps[p] == ref_steps(p, s)
 
 
 @pytest.mark.parametrize("max_len", range(1, 17))
@@ -121,34 +123,26 @@ def test_grammar_matches_brute_force(enum_at, machine, max_len):
 def test_generate_halts_matches_decode_pair():
     # budgets just above the length: the only ones where outputs overflow,
     # since the dovetailed schedule always allows 2**length steps
-    registered = {1, 5}
+    subs = {1: _purecore.REVERSE, 5: _purecore.REVERSE, 2: _purecore.LOOP}
     for length in range(1, 12):
         for budget in range(length + 1, length + 40):
-            halts, nmi, early, oob, no_sub, routed = _purecore.generate_halts(
-                length, budget, registered
-            )
+            halts, nmi, early, oob, no_sub = _purecore.generate_halts(length, budget, subs)
             want = {kind: 0 for kind in _KIND_NAMES}
-            want_halts, want_routed, subtree = [], [], 0
+            want_halts = []
             for val in range(1 << length):
-                kind, out_val, out_len, _, steps, index = _purecore.decode_pair(val, length, budget)
-                if kind == _purecore.SUBMACHINE:
-                    subtree += 1
-                    if index in registered:
-                        want_routed.append(val)
-                    continue
+                kind, out_val, out_len, _, steps = _purecore.decode_pair(val, length, budget, subs)
                 want[kind] += 1
                 if kind == _purecore.HALT:
                     want_halts.append((val, out_val, out_len, steps))
-            assert halts == want_halts, (length, budget)
-            assert (nmi, early, oob) == (
+            assert sorted(halts) == want_halts, (length, budget)
+            assert (nmi, early, oob, no_sub) == (
                 want[_purecore.NEEDS_INPUT],
                 want[_purecore.HALTED_EARLY],
                 want[_purecore.OUT_OF_BUDGET],
+                want[_purecore.NO_SUCH_SUBMACHINE],
             ), (length, budget)
-            assert sorted(v for lo, hi in routed for v in range(lo, hi)) == want_routed
-            assert no_sub == subtree - len(want_routed)
     with pytest.raises(ValueError):
-        _purecore.generate_halts(4, 4, ())
+        _purecore.generate_halts(4, 4, {})
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))

@@ -18,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from omegalab import Budget, Machine, enumerate_domain
 from omegalab.cli import main
+from omegalab.enumerator import write_log
+from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -69,6 +72,14 @@ def _make_log(workdir: Path) -> Path:
     return log
 
 
+def _make_registry_log(workdir: Path) -> Path:
+    """The log of a machine with a reverse and a looping submachine registered."""
+    log = workdir / "registry14.jsonl"
+    machine = Machine({1: ReversePayloadDecoder(), 2: LoopForeverDecoder()})
+    write_log(enumerate_domain(machine, Budget(14)), log)
+    return log
+
+
 def _run(workdir: Path, log: Path, name: str) -> dict[str, str]:
     argv, files = cases()[name]
     argv = [a if not a.endswith((".json", ".csv", ".jsonl")) else str(workdir / a) for a in argv]
@@ -92,6 +103,10 @@ def test_log_digest(golden, log14):
     assert _digest(log) == golden["log14.jsonl"]
 
 
+def test_registry_log_digest(golden, tmp_path):
+    assert _digest(_make_registry_log(tmp_path)) == golden["registry14.jsonl"]
+
+
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_artifact_digest(golden, log14, name, capsys):
     workdir, log = log14
@@ -105,6 +120,7 @@ if __name__ == "__main__":
         workdir = Path(tmp)
         log = _make_log(workdir)
         digests = {"log14.jsonl": _digest(log)}
+        digests["registry14.jsonl"] = _digest(_make_registry_log(workdir))
         for name in sorted(cases()):
             digests.update(_run(workdir, log, name))
     sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")

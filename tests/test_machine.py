@@ -8,9 +8,11 @@ from omegalab.machine import (
     OutcomeKind,
     RegistryError,
     ReversePayloadDecoder,
+    SubmachineDecoder,
     raw_program,
 )
 from reference import ref_decode, ref_steps
+from test_enumerator import REGISTRIES
 
 BIG = 1 << 32
 
@@ -80,11 +82,22 @@ def test_registry_is_immutable():
     assert m.digest() != base.digest()
 
 
+def test_registry_accepts_only_branch_table_rows():
+    class Custom(SubmachineDecoder):
+        name = "custom"
+
+    with pytest.raises(RegistryError):
+        Machine({1: Custom()})
+    with pytest.raises(RegistryError):
+        Machine().register_submachine(1, object())
+
+
 @pytest.mark.parametrize("bits", ["", "00"])
 def test_reverse_payload_incomplete_gamma(bits):
-    out = ReversePayloadDecoder().run(bits, 100)
+    m = Machine({1: ReversePayloadDecoder()})
+    out = m.run("111" + "1" + bits, 100)
     assert out.kind is OutcomeKind.NEEDS_MORE_INPUT
-    assert out.consumed == out.steps == len(bits)
+    assert out.consumed == out.steps == 4 + len(bits)
 
 
 def test_loop_forever_exhausts_budget():
@@ -102,19 +115,19 @@ def test_raw_program(m):
     assert len(raw_program(s)) == len(s) + 2 * (len(s) + 1).bit_length() - 2 + 2
 
 
-def test_matches_reference_decoder(m):
-    for length in range(1, 13):
-        for val in range(1 << length):
-            p = format(val, f"0{length}b")
-            status, s = ref_decode(p)
-            out = m.run(p, BIG)
-            if status == "submachine":
-                assert out.kind is OutcomeKind.NO_SUCH_SUBMACHINE
-                continue
-            assert out.kind.value == status, p
-            if status == "halt":
-                assert out.output == s
-                assert out.steps == ref_steps(p, s)
+def test_matches_reference_decoder():
+    for registry in REGISTRIES.values():
+        m = Machine(registry)
+        names = {e: d.name for e, d in registry.items()}
+        for length in range(1, 13):
+            for val in range(1 << length):
+                p = format(val, f"0{length}b")
+                status, s = ref_decode(p, names)
+                out = m.run(p, BIG)
+                assert out.kind.value == status, (names, p)
+                if status == "halt":
+                    assert out.output == s
+                    assert out.steps == ref_steps(p, s)
 
 
 @given(st.text(alphabet="01", min_size=1, max_size=30))
