@@ -7,6 +7,7 @@ pow2_enclosure, which rounds outward so that enclosures are always sound.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -128,14 +129,16 @@ class Dyadic:
 
     @classmethod
     def from_decimal(cls, s: str) -> "Dyadic":
-        sign = -1 if s.startswith("-") else 1
-        s = s.lstrip("+-")
-        whole, _, frac = s.partition(".")
+        """Parse the form decimal() prints, -?digits(.digits)?, and nothing else."""
+        m = re.fullmatch(r"(-?)([0-9]+)(?:\.([0-9]+))?", s)
+        if m is None:
+            raise ValueError(f"{s!r} is not of the form -?digits(.digits)?")
+        sign, whole, frac = m.groups("")
         exp = len(frac)
-        scaled = int(Decimal((whole or "0") + frac))
+        scaled = int(Decimal(whole + frac))
         if scaled % 5 ** exp:
             raise ValueError(f"{s} is not an exact dyadic decimal")
-        return cls(sign * scaled // 5 ** exp, exp)
+        return cls((-scaled if sign else scaled) // 5 ** exp, exp)
 
 
 @dataclass(frozen=True)

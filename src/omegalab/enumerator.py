@@ -20,10 +20,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import _purecore
 from .bits import pair_to_bits
-from .machine import Machine, identity_digest
+from .machine import Machine, OutcomeKind, identity_digest
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,7 @@ class Budget:
         return self.max_len >= other.max_len and self.max_rounds >= other.max_rounds
 
 
-@dataclass(frozen=True)
-class HaltEvent:
+class HaltEvent(NamedTuple):
     seq: int
     round: int
     program: str
@@ -85,6 +87,8 @@ class CompressibleStream:
     def __len__(self) -> int:
         return len(self.members)
 
+
+_OUTCOMES = tuple(kind.value for kind in OutcomeKind)
 
 # Streams and partial-sum tables a result keeps, each evicted least recently
 # used first, so a sweep over many thresholds or temperatures stays bounded.
@@ -244,22 +248,66 @@ def write_log(result: EnumerationResult, path) -> None:
 
 
 def load_log(path) -> EnumerationResult:
-    """Read a log written by write_log, refusing one whose header does not match it."""
+    """Read a log written by write_log, refusing one whose header or events do not match it.
+
+    Events are numbered 1..N in file order, strictly increasing in (round,
+    |program|, program), each a binary program of length 1..max_len with a
+    binary output, steps >= 1 and round max(|program|, ceil(log2 steps)) <=
+    max_rounds, so steps <= 2**max_rounds; the counts give each program of
+    length <= max_len one of the five outcomes.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline())
+        limits = header["budget"]
+        if not all(type(limits.get(k)) is int and limits[k] >= 1 for k in ("max_len", "max_rounds")):
+            raise ValueError(f"{path}: budget fields must be integers >= 1, got {limits}")
+        budget = Budget(limits["max_len"], limits["max_rounds"])
+        max_len = budget.max_len
         events = []
-        for line in fh:
-            d = json.loads(line)
-            events.append(HaltEvent(d["seq"], d["round"], d["program"], d["output"], d["steps"]))
-    limits = header["budget"]
-    if not all(type(limits.get(k)) is int and limits[k] >= 1 for k in ("max_len", "max_rounds")):
-        raise ValueError(f"{path}: budget fields must be integers >= 1, got {limits}")
+        last = ()
+        for seq, line in enumerate(fh, start=1):
+            try:
+                d = json.loads(line)
+                ev = HaltEvent(d["seq"], d["round"], d["program"], d["output"], d["steps"])
+            except (json.JSONDecodeError, KeyError, TypeError):
+                ev = None
+            if ev is None or len(d) != 5 or not (
+                type(ev.seq) is type(ev.round) is type(ev.steps) is int
+                and type(ev.program) is type(ev.output) is str
+            ):
+                raise ValueError(f"{path}: line {seq + 1}: want int seq, round, steps, str program, output")
+            if ev.seq != seq:
+                raise ValueError(f"{path}: line {seq + 1}: seq {ev.seq}, expected {seq}")
+            key = (ev.round, len(ev.program), ev.program)
+            if not (0 < key[1] <= max_len and ev.steps > 0):
+                raise ValueError(f"{path}: line {seq + 1}: want a program of length 1..max_len and steps >= 1")
+            if key <= last:
+                raise ValueError(f"{path}: line {seq + 1}: event out of (round, |program|, program) order")
+            if ev.round != max(key[1], _ceil_log2(ev.steps)):
+                raise ValueError(f"{path}: line {seq + 1}: round is not max(|program|, ceil(log2 steps))")
+            last = key
+            events.append(ev)
+    # rounds never decrease, so the last event's is the largest
+    if last and last[0] > budget.max_rounds:
+        raise ValueError(f"{path}: line {len(events) + 1}: round {last[0]} is past max_rounds")
+    # all programs and outputs in one pass; the line is looked for only on failure
+    bits = "".join(chain.from_iterable(map(attrgetter("program", "output"), events)))
+    if bits.encode().translate(None, b"01"):
+        seq = next(i for i, ev in enumerate(events, start=1) if (ev.program + ev.output).strip("01"))
+        raise ValueError(f"{path}: line {seq + 1}: program or output is not binary")
     if header["machine"] != identity_digest(header["identity"]):
         raise ValueError(f"{path}: machine digest {header['machine']} does not match its identity")
-    if header["counts"].get("halt") != len(events):
+    counts = header["counts"]
+    if (
+        type(counts) is not dict
+        or {k: type(n) for k, n in counts.items()} != dict.fromkeys(_OUTCOMES, int)
+        or min(counts.values()) < 0
+        or sum(counts.values()) != (2 << budget.max_len) - 2
+    ):
+        raise ValueError(f"{path}: line 1: counts {counts} do not give each program one outcome")
+    if counts["halt"] != len(events):
         raise ValueError(
-            f"{path}: header counts {header['counts'].get('halt')} halt events, "
+            f"{path}: header counts {counts['halt']} halt events, "
             f"the log holds {len(events)}"
         )
-    budget = Budget(limits["max_len"], limits["max_rounds"])
-    return EnumerationResult(events, budget, header["machine"], header["identity"], header["counts"])
+    return EnumerationResult(events, budget, header["machine"], header["identity"], counts)

@@ -35,8 +35,8 @@ def _mode_sums(enum: EnumerationResult, T, mode: str, prec: int) -> PartialSums:
         return stream_sums(enum, t, prec)
     if mode == "csb":
         return enum.partial_sums(
-            ("csb", t),
-            lambda: PartialSums(enum.compressible_stream(t).lengths, 1, None, False),
+            ("csb", t, prec),
+            lambda: PartialSums(enum.compressible_stream(t).lengths, 1, prec),
         )
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -21,7 +21,7 @@ from .dyadic import Dyadic, DyadicInterval
 from .enumerator import EnumerationResult
 from .extractor import NoCutoff, find_cutoff, tail_after_cutoff
 from .machine import Machine, OutcomeKind, phi
-from .measures import cs_lower, cst_lower, stream_sums
+from .measures import PartialSums, _pow2_sum, cs_lower, cst_lower, stream_sums
 
 
 class ReconstructFailed(Exception):
@@ -42,8 +42,11 @@ def z_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
 
 
 def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
-    """Enclosure of sum_{i<=k} |s_i| 2**(-|s_i|/x)."""
-    return stream_sums(enum, x, prec, weighted=True).at(k)
+    """Enclosure of sum_{i<=k} |s_i| 2**(-|s_i|/x), in one pass that keeps nothing."""
+    lengths = enum.compressible_stream(1).lengths
+    if not 0 <= k <= len(lengths):
+        raise ValueError(f"k={k} out of range (stream length {len(lengths)})")
+    return _pow2_sum(lengths[:k], x, prec, weighted=True)
 
 
 def stream_length(enum: EnumerationResult) -> int:
@@ -176,17 +179,24 @@ def check_lower_gap(enum, k: int, constants: GapConstants, t, prec: int = 96) ->
 
 
 def upper_gap_sweep(enum, constants: GapConstants, x, prec: int = 96) -> bool:
-    """check_upper_gap at every k = 0 .. stream length, in one walk of two tables."""
+    """check_upper_gap at every k = 0 .. stream length, decided at k = K alone.
+
+    The left side Z_k(x).hi - Z_k(T).lo grows with k: step k adds
+    hi(2**(-l_k/x)) - lo(2**(-l_k/T)) > 0, since x > T and l_k >= 1 put
+    2**(-l_k/x) strictly above 2**(-l_k/T).  The right side does not depend
+    on k, so the inequality holds at every k iff it holds at k = K.
+    """
     x = _upper_point(constants, x)
-    zx, zT = stream_sums(enum, x, prec).full(), stream_sums(enum, constants.T, prec).full()
-    gap, c = x - constants.T, constants.c_upper
-    return all(_upper_holds(a, b, gap, c) for a, b in zip(zx, zT))
+    zx = _pow2_sum(enum.compressible_stream(1).lengths, x, prec)
+    zT = stream_sums(enum, constants.T, prec).full()[-1]
+    return _upper_holds(zx, zT, x - constants.T, constants.c_upper)
 
 
 def lower_gap_sweep(enum, constants: GapConstants, t, prec: int = 96) -> bool:
-    """check_lower_gap at every k = 1 .. stream length, in one walk of two tables."""
+    """check_lower_gap at every k = 1 .. stream length: one walk of t's table, not kept, and T's."""
     t = _lower_point(constants, t)
-    zt, zT = stream_sums(enum, t, prec).full(), stream_sums(enum, constants.T, prec).full()
+    zt = PartialSums(enum.compressible_stream(1).lengths, t, prec).full()
+    zT = stream_sums(enum, constants.T, prec).full()
     gap, c = t - constants.T, constants.c_lower
     return all(_lower_holds(a, b, gap, c) for a, b in zip(zt[1:], zT[1:]))
 

@@ -26,21 +26,18 @@ def _as_temperature(T) -> Fraction:
 
 
 class PartialSums:
-    """Partial sums S_k = sum_{i<=k} w_i 2**(-l_i/x) over a fixed length sequence.
+    """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a fixed length sequence.
 
-    w_i is l_i for a weighted table and 1 otherwise.  Entries are grown only
-    as far as a caller asks.  prec None means every exponent l_i/x is an
-    integer, so every entry is exact at any precision.
+    Entries are grown only as far as a caller asks.
     """
 
-    __slots__ = ("lengths", "x", "weighted", "sums", "_pow2")
+    __slots__ = ("lengths", "x", "sums", "_pow2")
 
-    def __init__(self, lengths: tuple[int, ...], x: Fraction, prec: int | None, weighted: bool):
+    def __init__(self, lengths: tuple[int, ...], x: Fraction, prec: int):
         self.lengths = lengths
         self.x = x
-        self.weighted = weighted
         self.sums = [DyadicInterval.zero()]
-        self._pow2 = SharedRootPow2(prec) if prec is not None else None
+        self._pow2 = SharedRootPow2(prec)
 
     def at(self, k: int) -> DyadicInterval:
         """S_k for 0 <= k <= len(lengths)."""
@@ -51,13 +48,7 @@ class PartialSums:
             p, q = self.x.numerator, self.x.denominator
             total = sums[-1]
             for length in self.lengths[len(sums) - 1 : k]:
-                if self._pow2 is None:
-                    term = DyadicInterval.point(Dyadic.pow2(length * q // p))
-                else:
-                    term = self._pow2.enclosure(length * q, p)
-                if self.weighted:
-                    term = term.scale(length)
-                total = total + term
+                total = total + self._pow2.enclosure(length * q, p)
                 sums.append(total)
         return sums[k]
 
@@ -67,53 +58,67 @@ class PartialSums:
         return self.sums
 
 
-def stream_sums(enum: EnumerationResult, x, prec: int | None, weighted: bool = False) -> PartialSums:
+def stream_sums(enum: EnumerationResult, x, prec: int) -> PartialSums:
     """Partial-sum table over the compressible stream (threshold 1) at temperature x.
 
-    Kept on the result under (x, prec, weighted), or (x, None, weighted)
-    when every l_i/x is an integer, so all precisions share one exact table.
+    Kept on the result under (x, prec).  Only a caller that reads the table
+    at more than one k should ask for it; a whole sum is _pow2_sum's job.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("temperature must be positive")
     lengths = enum.compressible_stream(1).lengths
-    if gcd(*lengths) % x.numerator == 0:
-        prec = None
-    return enum.partial_sums(
-        (x, prec, weighted), lambda: PartialSums(lengths, x, prec, weighted)
-    )
+    return enum.partial_sums((x, prec), lambda: PartialSums(lengths, x, prec))
 
 
-def _pow2_sum(lengths) -> Dyadic:
-    """Exact sum of 2**-l over lengths, added as one integer at the largest exponent."""
+def _pow2_sum(lengths, x=1, prec: int = 64, weighted: bool = False) -> DyadicInterval:
+    """Enclosure of sum w 2**(-l/x) over lengths l, w = l if weighted else 1, in one pass.
+
+    When num(x) divides every l, every exponent is an integer and the sum is
+    one exact integer at the largest exponent.  Stream lengths are nearly all
+    distinct (499 of 499 at L = 18), so this one big-integer sum is far
+    cheaper than an enclosure and an interval addition per length.
+    Otherwise each distinct length gets one enclosure, scaled by its count:
+    dyadic addition is exact and N equal enclosures add up to exactly
+    scale(N), so the result equals the term-by-term sum (the last
+    PartialSums entry) bit for bit.
+    """
+    pow2 = SharedRootPow2(prec)  # first, so prec < 1 raises on the exact path too
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
     counts = Counter(lengths)
-    top = max(counts, default=0)
-    return Dyadic(sum(n << (top - length) for length, n in counts.items()), top)
+    if weighted:
+        for length in counts:
+            counts[length] *= length
+    if gcd(*counts) % p == 0:
+        top = max(counts, default=0) * q // p
+        return DyadicInterval.point(
+            Dyadic(sum(n << (top - length * q // p) for length, n in counts.items()), top)
+        )
+    total = DyadicInterval.zero()
+    for length, n in counts.items():
+        term = pow2.enclosure(length * q, p)
+        total = total + (term if n == 1 else term.scale(n))
+    return total
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|p| over discovered halting programs; exact dyadic."""
-    return _pow2_sum(len(ev.program) for ev in enum.events)
+    return _pow2_sum(len(ev.program) for ev in enum.events).lo
 
 
 def cs_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|s| over compressible strings (H_up(s) < |s|); exact dyadic."""
-    return _pow2_sum(map(len, enum.compressible_stream(1).members))
+    return _pow2_sum(map(len, enum.compressible_stream(1).members)).lo
 
 
 def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
     """Enclosure of the tempered halting sum: 2**(-|p|/T) over halt programs.
 
     Degenerates to the plain halting sum at T=1 and to exact dyadics
-    whenever num(T) divides every |p| * den(T).  Terms are equal within a
-    program length, and N equal intervals add up to exactly scale(N).
+    whenever num(T) divides every |p| * den(T).
     """
-    t = _as_temperature(T)
-    pow2 = SharedRootPow2(prec)
-    total = DyadicInterval.zero()
-    for length, n in Counter(len(ev.program) for ev in enum.events).items():
-        total = total + pow2.enclosure(length * t.denominator, t.numerator).scale(n)
-    return total
+    return _pow2_sum((len(ev.program) for ev in enum.events), _as_temperature(T), prec)
 
 
 def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -> DyadicInterval:
@@ -126,7 +131,7 @@ def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return stream_sums(enum, t, prec).full()[-1]
+    return _pow2_sum(enum.compressible_stream(1).lengths, t, prec)
 
 
 def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
@@ -137,7 +142,7 @@ def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return _pow2_sum(map(len, enum.compressible_stream(t).members))
+    return _pow2_sum(map(len, enum.compressible_stream(t).members)).lo
 
 
 def t_convergence_sum(enum: EnumerationResult, T) -> Dyadic:

@@ -127,6 +127,50 @@ def _zero_length(header, events):
     return events
 
 
+def _edit_event(index, change):
+    """An edit that applies change(event dict) to event line `index` (0 is line 2)."""
+
+    def edit(header, events):
+        event = json.loads(events[index])
+        change(event)
+        events[index] = json.dumps(event, sort_keys=True)
+        return events
+
+    return edit
+
+
+def _not_an_object(header, events):
+    events[5] = "[1, 2]"
+    return events
+
+
+def _swap_events(header, events):
+    """Events 6 and 7 change places, each keeping its own line's seq."""
+    a, b = json.loads(events[5]), json.loads(events[6])
+    a["seq"], b["seq"] = b["seq"], a["seq"]
+    events[5:7] = [json.dumps(b, sort_keys=True), json.dumps(a, sort_keys=True)]
+    return events
+
+
+def _not_json(header, events):
+    events[5] = events[5][:-1]
+    return events
+
+
+def _shrink_rounds(header, events):
+    """max_rounds below the longest program, so its events lie past the budget."""
+    header["budget"]["max_rounds"] = header["budget"]["max_len"] - 1
+    return events
+
+
+def _edit_counts(change):
+    def edit(header, events):
+        change(header["counts"])
+        return events
+
+    return edit
+
+
 def _rewrite(log, path, edit):
     """Copy log to path with edit(header, event_lines) applied."""
     lines = log.read_text().splitlines()
@@ -143,8 +187,49 @@ def _rewrite(log, path, edit):
         (_edit_identity, "identity"),
         (_rounds_as_string, "budget"),
         (_zero_length, "budget"),
+        (_edit_event(5, lambda d: d.pop("steps")), "line 7: want int seq"),
+        (_edit_event(5, lambda d: d.update(program=int(d["program"], 2))), "line 7: want int seq"),
+        (_edit_event(5, lambda d: d.update(steps=True)), "line 7: want int seq"),
+        (_edit_event(5, lambda d: d.update(extra=0)), "line 7: want int seq"),
+        (_not_an_object, "line 7: want int seq"),
+        (_edit_event(5, lambda d: d.update(seq=9)), "line 7: seq 9, expected 6"),
+        (_swap_events, "line 8: event out of (round, |program|, program) order"),
+        (_edit_event(-1, lambda d: d.update(round=d["round"] + 1)), "round is not max(|program|, ceil(log2 steps))"),
+        (_not_json, "line 7: want int seq"),
+        (_edit_event(5, lambda d: d.update(steps=0)), "line 7: want a program of length"),
+        (_edit_event(5, lambda d: d.update(steps=(1 << 32) + 1)), "line 7: round is not max"),
+        (_edit_event(5, lambda d: d.update(program=d["program"] + "0" * 14)), "line 7: want a program of length"),
+        (_edit_event(-1, lambda d: d.update(program=d["program"][:-1] + "2")), "program or output is not binary"),
+        (_edit_event(5, lambda d: d.update(output=d["output"] + "x")), "line 7: program or output is not"),
+        (_shrink_rounds, "is past max_rounds"),
+        (_edit_counts(lambda c: c.update(bogus=0)), "line 1: counts"),
+        (_edit_counts(lambda c: c.update(out_of_budget="0")), "line 1: counts"),
+        (_edit_counts(lambda c: c.update(halted_early=c["halted_early"] + 1)), "line 1: counts"),
     ],
-    ids=["last-event-dropped", "identity-edited", "rounds-not-int", "max-len-zero"],
+    ids=[
+        "last-event-dropped",
+        "identity-edited",
+        "rounds-not-int",
+        "max-len-zero",
+        "event-field-missing",
+        "program-not-str",
+        "steps-bool",
+        "event-field-extra",
+        "event-not-object",
+        "seq-skips",
+        "events-swapped",
+        "round-off",
+        "event-not-json",
+        "steps-zero",
+        "steps-past-cap",
+        "program-too-long",
+        "program-not-binary",
+        "output-not-binary",
+        "round-past-max-rounds",
+        "counts-extra-key",
+        "counts-not-int",
+        "counts-sum-off",
+    ],
 )
 def test_inconsistent_log_exits_1(log14, tmp_path, capsys, edit, message):
     bad = _rewrite(log14, tmp_path / "bad.jsonl", edit)

@@ -71,6 +71,15 @@ def test_decimal_roundtrip_past_int_str_digit_limit(d):
     assert Dyadic.from_decimal(text) == d
 
 
+@pytest.mark.parametrize(
+    "text", ["0.5e3", "1_0.5", "Infinity", "NaN", "", "-", "1.", ".5", "+1", " 1", "1\n", "\u0663"]
+)
+def test_from_decimal_accepts_only_what_decimal_prints(text):
+    # exponents, underscores and special values used to slip through Decimal
+    with pytest.raises(ValueError):
+        Dyadic.from_decimal(text)
+
+
 def test_repr_past_int_str_digit_limit():
     d = Dyadic(3**9100, 5)
     assert repr(d) == f"Dyadic({Decimal(3**9100)}, 5)"

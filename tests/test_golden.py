@@ -28,7 +28,7 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 QUANTITIES = ("omega", "cs", "z", "cst", "csbt")
 TEMPERATURES = ("1/2", "2/3", "4/5", "5/6")
 PRECISIONS = ("8", "200")
-FIXEDPOINT_PAIRS = (("1/3", "2/3"), ("1/2", "3/4"), ("1/4", "1/2"))
+FIXEDPOINT_PAIRS = (("1/3", "2/3"), ("1/2", "3/4"), ("1/4", "1/2"), ("2/3", "4/5"))
 
 
 def _tag(text: str) -> str:
@@ -43,11 +43,15 @@ def cases() -> dict[str, tuple[list[str], list[str]]]:
             name = f"measure_{q}_{_tag(T)}"
             out[name] = (["measure", "--quantity", q, "--T", T, "--out", f"{name}.json"], [f"{name}.json"])
     for q in ("z", "cst"):
-        for T in ("2/3", "4/5"):
+        for T in ("2/3", "4/5", "65/67"):
             for prec in PRECISIONS:
                 name = f"measure_{q}_{_tag(T)}_prec{prec}"
                 argv = ["measure", "--quantity", q, "--T", T, "--prec", prec, "--out", f"{name}.json"]
                 out[name] = (argv, [f"{name}.json"])
+    out["measure_cst_3_2"] = (
+        ["measure", "--quantity", "cst", "--T", "3/2", "--out", "measure_cst_3_2.json"],
+        ["measure_cst_3_2.json"],
+    )
     out["census_2_3"] = (
         ["census", "--T", "2/3", "--out", "census_2_3.csv", "--members", "members_2_3.jsonl"],
         ["census_2_3.csv", "members_2_3.jsonl"],
@@ -55,6 +59,10 @@ def cases() -> dict[str, tuple[list[str], list[str]]]:
     out["extract_2_3"] = (
         ["extract", "--n", "12", "--T", "2/3", "--out", "extract_2_3.json"],
         ["extract_2_3.json"],
+    )
+    out["extract_csb_2_3"] = (
+        ["extract", "--n", "12", "--T", "2/3", "--mode", "csb", "--out", "extract_csb_2_3.json"],
+        ["extract_csb_2_3.json"],
     )
     for T, t in FIXEDPOINT_PAIRS:
         name = f"fixedpoint_{_tag(T)}_{_tag(t)}"

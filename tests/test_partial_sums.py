@@ -8,12 +8,21 @@ every table entry must equal the oracle's running sum bit for bit.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from omegalab import enumerator
 from omegalab.dyadic import DyadicInterval, pow2_enclosure
 from omegalab.enumerator import CompressibleStream
-from omegalab.fixedpoint import w_k, z_k
-from omegalab.measures import cst_lower, stream_sums
+from omegalab.fixedpoint import (
+    default_context,
+    derive_constants,
+    lower_gap_sweep,
+    upper_gap_sweep,
+    w_k,
+    z_k,
+)
+from omegalab.measures import _pow2_sum, cst_lower, stream_sums
 
 TEMPERATURES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(5, 6)]
 PRECISIONS = [1, 8, 64, 96, 200]
@@ -39,10 +48,11 @@ def oracle_prefix_sums(lengths, x, prec, weighted):
 @pytest.mark.parametrize("prec", PRECISIONS)
 def test_table_entries_match_per_term_loop(enum14, x, prec):
     lengths = enum14.compressible_stream(1).lengths
-    for weighted in (False, True):
-        want = oracle_prefix_sums(lengths, x, prec, weighted)
-        table = stream_sums(enum14, x, prec, weighted)
-        assert [table.at(k) for k in range(len(lengths) + 1)] == want
+    table = stream_sums(enum14, x, prec)
+    assert [table.at(k) for k in range(len(lengths) + 1)] == oracle_prefix_sums(lengths, x, prec, False)
+    want = oracle_prefix_sums(lengths, x, prec, True)
+    for k in (0, 1, 2, len(lengths) // 2, len(lengths)):
+        assert w_k(enum14, k, x, prec) == want[k]
     members = enum14.compressible_stream(1).members
     assert cst_lower(enum14, x, prec) == sum_pow2((Fraction(len(s)) / x for s in members), prec)
 
@@ -66,13 +76,22 @@ def test_tables_grow_only_as_asked(enum14):
         table.at(-1)
 
 
-def test_exact_tables_are_shared_across_precisions(enum14):
-    # |s| / (1/3) = 3|s| is an integer for every member: one table for all prec
-    third = Fraction(1, 3)
-    tables = {id(stream_sums(enum14, third, prec)) for prec in range(9, 57)}
-    assert len(tables) == 1
-    assert all(cst_lower(enum14, third, prec).exact for prec in (9, 56))
-    assert stream_sums(enum14, Fraction(2, 3), 9) is not stream_sums(enum14, Fraction(2, 3), 10)
+def test_only_reread_tables_are_cached(machine):
+    # a fresh result, so no other test's lookups are in its cache
+    res = enumerator.enumerate_domain(machine, enumerator.Budget(14))
+    T, t = Fraction(2, 3), Fraction(4, 5)
+    consts = derive_constants(res, T, t)
+    grid = [T + (t - T) * Fraction(j, 5) for j in range(1, 5)]
+    assert all(upper_gap_sweep(res, consts, x) for x in grid)
+    assert lower_gap_sweep(res, consts, t)
+    # checked before the context's lookups could evict anything
+    assert not [key for key in res._sum_tables if key[0] in grid or key[0] == t]
+    default_context(res, T, t)
+    cst_lower(res, Fraction(5, 7))
+    keys = list(res._sum_tables)
+    assert not [key for key in keys if key[0] in grid or key[0] in (t, Fraction(5, 7))]
+    # T's own table is read by both sweeps; the 48 context precisions are one-pass sums
+    assert [key for key in keys if key[0] == T] == [(T, 96)]
 
 
 def test_streams_built_once(enum14):
@@ -91,7 +110,7 @@ def test_table_cache_is_bounded(machine):
     # least recently used goes first: the last lookups are still cached
     last = stream_sums(res, xs[-1], 64)
     assert stream_sums(res, xs[-1], 64) is last
-    assert (xs[0], 64, False) not in res._sum_tables
+    assert (xs[0], 64) not in res._sum_tables
 
 
 def test_stream_membership(enum14):
@@ -102,3 +121,28 @@ def test_stream_membership(enum14):
     assert same == stream and hash(same) == hash(stream)
     assert "_member_set" not in repr(same) and "lengths" not in repr(same)
     assert stream.lengths == tuple(len(s) for s in stream.members)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), Fraction(65, 67)],
+    ids=str,
+)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=24), max_size=24),
+    prec=st.sampled_from([1, 8, 96]),
+    weighted=st.booleans(),
+)
+def test_whole_sum_matches_per_term_sum(x, lengths, prec, weighted):
+    # small lengths repeat often, so the grouped scale(N) path is exercised
+    assert _pow2_sum(lengths, x, prec, weighted) == oracle_prefix_sums(lengths, x, prec, weighted)[-1]
+
+
+def test_whole_sum_edges(enum14):
+    for x in (Fraction(1), Fraction(2, 3), Fraction(65, 67)):
+        assert _pow2_sum([], x, 8) == _pow2_sum([], x, 8, weighted=True) == DyadicInterval.zero()
+    # prec < 1 raises on the exact path too, where no root is ever taken
+    with pytest.raises(ValueError):
+        _pow2_sum([3, 6], Fraction(1, 3), 0)
+    with pytest.raises(ValueError):
+        cst_lower(enum14, Fraction(1, 3), prec=0)
