@@ -16,17 +16,17 @@ and deterministic.
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import _purecore
 from .bits import pair_to_bits
-from .machine import Machine, OutcomeKind, identity_digest
+from .machine import Machine
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,6 @@ class CompressibleStream:
     def __len__(self) -> int:
         return len(self.members)
 
-
-_OUTCOMES = tuple(kind.value for kind in OutcomeKind)
 
 # Streams and partial-sum tables a result keeps, each evicted least recently
 # used first, so a sweep over many thresholds or temperatures stays bounded.
@@ -187,20 +185,32 @@ def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> Enum
     `workers` is accepted for compatibility and ignored: enumeration is a
     single pass in one process, and events are sorted in canonical order.
     """
-    cap = budget.step_cap
+    return _enumerate(machine, budget)
+
+
+def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> EnumerationResult:
+    """enumerate_domain, giving up with ValueError once its log outgrows max_bits.
+
+    The log holds every event's program and output bits, and counts that
+    sum to 2**(max_len+1) - 2, which take more than max_len bits to write.
+    """
+    if budget.max_len > max_bits:
+        raise ValueError(f"the counts for max_len {budget.max_len} take more than {max_bits} bits")
+    # no program of length <= max_len runs past 2**(max_len+1) steps, so a
+    # larger cap changes nothing
+    cap = 1 << min(budget.max_rounds, budget.max_len + 1)
+    # round r only admits programs of length <= r: longer ones are never scheduled
+    scheduled = min(budget.max_len, budget.max_rounds)
     counts = {
         "halt": 0,
         "needs_more_input": 0,
         "halted_early": 0,
         "no_such_submachine": 0,
-        "out_of_budget": 0,
+        "out_of_budget": (2 << budget.max_len) - (2 << scheduled),
     }
     keyed = []
-    for length in range(1, budget.max_len + 1):
-        if length > budget.max_rounds:
-            # never scheduled: round r only admits programs of length <= r
-            counts["out_of_budget"] += 1 << length
-            continue
+    bits = 0
+    for length in range(1, scheduled + 1):
         halts, nmi, early, oob, no_sub = _purecore.generate_halts(length, cap, machine.rows)
         counts["needs_more_input"] += nmi
         counts["halted_early"] += early
@@ -209,6 +219,9 @@ def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> Enum
         # steps <= cap, so the discovery round never passes max_rounds
         for val, out_val, out_len, steps in halts:
             keyed.append((max(length, _ceil_log2(steps)), length, val, out_val, out_len, steps))
+            bits += length + out_len
+        if bits > max_bits:
+            raise ValueError(f"the events of length <= {length} take more than {max_bits} bits")
     keyed.sort(key=lambda item: item[:3])
 
     events = [
@@ -220,94 +233,57 @@ def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> Enum
     return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts)
 
 
+# One event line: the bytes of json.dumps(event, sort_keys=True) for binary
+# program and output strings and int seq, round and steps.
+_EVENT_LINE = '{"output": "%s", "program": "%s", "round": %d, "seq": %d, "steps": %d}\n'
+
+
+def _event_line(ev: HaltEvent) -> str:
+    return _EVENT_LINE % (ev.output, ev.program, ev.round, ev.seq, ev.steps)
+
+
+def _log_lines(result: EnumerationResult):
+    """The log of result, line by line: the one definition of the log format."""
+    header = {
+        "machine": result.machine_digest,
+        "identity": result.machine_identity,
+        "budget": {"max_len": result.budget.max_len, "max_rounds": result.budget.max_rounds},
+        "exhaustive": result.is_exhaustive(),
+        "counts": result.counts,
+    }
+    yield json.dumps(header, sort_keys=True) + "\n"
+    yield from map(_event_line, result.events)
+
+
 def write_log(result: EnumerationResult, path) -> None:
     """JSONL event log: one header line, then one line per halt event."""
     with open(path, "w") as fh:
-        header = {
-            "machine": result.machine_digest,
-            "identity": result.machine_identity,
-            "budget": {"max_len": result.budget.max_len, "max_rounds": result.budget.max_rounds},
-            "exhaustive": result.is_exhaustive(),
-            "counts": result.counts,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ev in result.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "seq": ev.seq,
-                        "round": ev.round,
-                        "program": ev.program,
-                        "output": ev.output,
-                        "steps": ev.steps,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(_log_lines(result))
 
 
 def load_log(path) -> EnumerationResult:
-    """Read a log written by write_log, refusing one whose header or events do not match it.
+    """Read a log, trusting it only if it is byte for byte what write_log writes for it.
 
-    Events are numbered 1..N in file order, strictly increasing in (round,
-    |program|, program), each a binary program of length 1..max_len with a
-    binary output, steps >= 1 and round max(|program|, ceil(log2 steps)) <=
-    max_rounds, so steps <= 2**max_rounds; the counts give each program of
-    length <= max_len one of the five outcomes.
+    The header's identity names the machine (Machine.from_identity) and its
+    max_len and max_rounds the budget; the log is replayed, by enumerating
+    that machine under that budget, and refused at the first line that
+    differs from the replay's log.  The replay gives up once its log would
+    outgrow the file, so a header that claims a huge budget fails fast.
     """
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        limits = header["budget"]
-        if not all(type(limits.get(k)) is int and limits[k] >= 1 for k in ("max_len", "max_rounds")):
-            raise ValueError(f"{path}: budget fields must be integers >= 1, got {limits}")
-        budget = Budget(limits["max_len"], limits["max_rounds"])
-        max_len = budget.max_len
-        events = []
-        last = ()
-        for seq, line in enumerate(fh, start=1):
-            try:
-                d = json.loads(line)
-                ev = HaltEvent(d["seq"], d["round"], d["program"], d["output"], d["steps"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                ev = None
-            if ev is None or len(d) != 5 or not (
-                type(ev.seq) is type(ev.round) is type(ev.steps) is int
-                and type(ev.program) is type(ev.output) is str
-            ):
-                raise ValueError(f"{path}: line {seq + 1}: want int seq, round, steps, str program, output")
-            if ev.seq != seq:
-                raise ValueError(f"{path}: line {seq + 1}: seq {ev.seq}, expected {seq}")
-            key = (ev.round, len(ev.program), ev.program)
-            if not (0 < key[1] <= max_len and ev.steps > 0):
-                raise ValueError(f"{path}: line {seq + 1}: want a program of length 1..max_len and steps >= 1")
-            if key <= last:
-                raise ValueError(f"{path}: line {seq + 1}: event out of (round, |program|, program) order")
-            if ev.round != max(key[1], _ceil_log2(ev.steps)):
-                raise ValueError(f"{path}: line {seq + 1}: round is not max(|program|, ceil(log2 steps))")
-            last = key
-            events.append(ev)
-    # rounds never decrease, so the last event's is the largest
-    if last and last[0] > budget.max_rounds:
-        raise ValueError(f"{path}: line {len(events) + 1}: round {last[0]} is past max_rounds")
-    # all programs and outputs in one pass; the line is looked for only on failure
-    bits = "".join(chain.from_iterable(map(attrgetter("program", "output"), events)))
-    if bits.encode().translate(None, b"01"):
-        seq = next(i for i, ev in enumerate(events, start=1) if (ev.program + ev.output).strip("01"))
-        raise ValueError(f"{path}: line {seq + 1}: program or output is not binary")
-    if header["machine"] != identity_digest(header["identity"]):
-        raise ValueError(f"{path}: machine digest {header['machine']} does not match its identity")
-    counts = header["counts"]
-    if (
-        type(counts) is not dict
-        or {k: type(n) for k, n in counts.items()} != dict.fromkeys(_OUTCOMES, int)
-        or min(counts.values()) < 0
-        or sum(counts.values()) != (2 << budget.max_len) - 2
-    ):
-        raise ValueError(f"{path}: line 1: counts {counts} do not give each program one outcome")
-    if counts["halt"] != len(events):
-        raise ValueError(
-            f"{path}: header counts {counts['halt']} halt events, "
-            f"the log holds {len(events)}"
-        )
-    return EnumerationResult(events, budget, header["machine"], header["identity"], counts)
+    with open(path, "rb") as fh:
+        n = 1
+        try:
+            header = json.loads(fh.readline())
+            machine = Machine.from_identity(header["identity"])
+            limits = header["budget"]
+            budget = Budget(int(limits["max_len"]), int(limits["max_rounds"]))
+            result = _enumerate(machine, budget, 8 * os.fstat(fh.fileno()).st_size)
+            fh.seek(0)
+            lines = zip_longest(map(str.encode, _log_lines(result)), fh, fillvalue=b"")
+            for n, (want, got) in enumerate(lines, 1):
+                if want != got:
+                    raise ValueError("differs from the replay of the header's machine and budget")
+        except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
+            detail = exc if isinstance(exc, ValueError) else repr(exc)
+            raise ValueError(f"{path}: line {n}: {detail}") from exc
+    return result

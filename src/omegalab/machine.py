@@ -110,6 +110,20 @@ class Machine:
         # {e: row}, the submachine rows _purecore decodes and generates
         self.rows = MappingProxyType({e: d.row for e, d in registry.items()})
 
+    @classmethod
+    def from_identity(cls, identity: str) -> "Machine":
+        """The machine whose identity() is identity; RegistryError if no machine has it."""
+        decoders = {d.name: d for d in (ReversePayloadDecoder, LoopForeverDecoder)}
+        entries = str(identity).partition(";registry[")[2][:-1]
+        try:
+            pairs = (entry.partition("=") for entry in entries.split(",") if entry)
+            machine = cls({int(e): decoders[name]() for e, _, name in pairs})
+        except (ValueError, KeyError):
+            machine = None
+        if machine is None or machine.identity() != identity:
+            raise RegistryError(f"no machine has identity {identity!r}")
+        return machine
+
     def register_submachine(self, index: int, decoder: SubmachineDecoder) -> "Machine":
         """New machine with the decoder added; duplicate slots are an error."""
         if index in self.registry:

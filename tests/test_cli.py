@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from omegalab.cli import main
+from omegalab.machine import identity_digest
 
 
 @pytest.fixture(scope="module")
@@ -171,40 +173,116 @@ def _edit_counts(change):
     return edit
 
 
+def _edit_identity_and_digest(change):
+    """An identity edit that re-records the digest, so only rebuilding the machine can tell."""
+
+    def edit(header, events):
+        header["identity"] = change(header["identity"])
+        header["machine"] = identity_digest(header["identity"])
+        return events
+
+    return edit
+
+
+def _claim_max_len_60(header, events):
+    """max_len 60, with out_of_budget raised so the counts still sum to 2**61 - 2."""
+    header["counts"]["out_of_budget"] += (2 << 60) - (2 << header["budget"]["max_len"])
+    header["budget"]["max_len"] = 60
+    return events
+
+
+def _claim_huge_max_len(header, events):
+    """max_len 10**7 under 5 rounds: few events, but counts no file this size can hold."""
+    header["budget"].update(max_len=10**7, max_rounds=5)
+    return events
+
+
+def _flip_first_bit(s):
+    return "10"[int(s[0])] + s[1:]
+
+
+def _text(header, events):
+    return "\n".join([json.dumps(header, sort_keys=True), *events]) + "\n"
+
+
+def _truncate(header, events):
+    """The whole file cut at 2/3 of its bytes, mid-line."""
+    text = _text(header, events)
+    return text[: len(text) * 2 // 3]
+
+
+def _header_text(text):
+    """An edit that replaces the header line with text."""
+    return lambda header, events: "\n".join([text, *events]) + "\n"
+
+
+def _drop_header_key(key):
+    def edit(header, events):
+        del header[key]
+        return events
+
+    return edit
+
+
 def _rewrite(log, path, edit):
-    """Copy log to path with edit(header, event_lines) applied."""
+    """Copy log to path with edit(header, event_lines) applied.
+
+    An edit returns the event lines, or the whole text of the file.
+    """
     lines = log.read_text().splitlines()
     header = json.loads(lines[0])
     events = edit(header, lines[1:])
-    path.write_text("\n".join([json.dumps(header, sort_keys=True), *events]) + "\n")
+    path.write_text(events if isinstance(events, str) else _text(header, events))
     return path
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_drop_last_event, "halt events"),
-        (_edit_identity, "identity"),
-        (_rounds_as_string, "budget"),
-        (_zero_length, "budget"),
-        (_edit_event(5, lambda d: d.pop("steps")), "line 7: want int seq"),
-        (_edit_event(5, lambda d: d.update(program=int(d["program"], 2))), "line 7: want int seq"),
-        (_edit_event(5, lambda d: d.update(steps=True)), "line 7: want int seq"),
-        (_edit_event(5, lambda d: d.update(extra=0)), "line 7: want int seq"),
-        (_not_an_object, "line 7: want int seq"),
-        (_edit_event(5, lambda d: d.update(seq=9)), "line 7: seq 9, expected 6"),
-        (_swap_events, "line 8: event out of (round, |program|, program) order"),
-        (_edit_event(-1, lambda d: d.update(round=d["round"] + 1)), "round is not max(|program|, ceil(log2 steps))"),
-        (_not_json, "line 7: want int seq"),
-        (_edit_event(5, lambda d: d.update(steps=0)), "line 7: want a program of length"),
-        (_edit_event(5, lambda d: d.update(steps=(1 << 32) + 1)), "line 7: round is not max"),
-        (_edit_event(5, lambda d: d.update(program=d["program"] + "0" * 14)), "line 7: want a program of length"),
-        (_edit_event(-1, lambda d: d.update(program=d["program"][:-1] + "2")), "program or output is not binary"),
-        (_edit_event(5, lambda d: d.update(output=d["output"] + "x")), "line 7: program or output is not"),
-        (_shrink_rounds, "is past max_rounds"),
-        (_edit_counts(lambda c: c.update(bogus=0)), "line 1: counts"),
-        (_edit_counts(lambda c: c.update(out_of_budget="0")), "line 1: counts"),
-        (_edit_counts(lambda c: c.update(halted_early=c["halted_early"] + 1)), "line 1: counts"),
+        (_drop_last_event, "line 382: differs from the replay"),
+        (_edit_identity, "line 1: no machine has identity"),
+        (_rounds_as_string, "line 1: differs from the replay"),
+        (_zero_length, "line 1: max_len must be >= 1"),
+        (_edit_event(5, lambda d: d.pop("steps")), "line 7: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(program=int(d["program"], 2))), "line 7: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(steps=True)), "line 7: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(extra=0)), "line 7: differs from the replay"),
+        (_not_an_object, "line 7: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(seq=9)), "line 7: differs from the replay"),
+        (_swap_events, "line 7: differs from the replay"),
+        (_edit_event(-1, lambda d: d.update(round=d["round"] + 1)), "line 382: differs from the replay"),
+        (_not_json, "line 7: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(steps=0)), "line 7: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(steps=(1 << 32) + 1)), "line 7: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(program=d["program"] + "0" * 14)), "line 7: differs from the replay"),
+        (_edit_event(-1, lambda d: d.update(program=d["program"][:-1] + "2")), "line 382: differs from the replay"),
+        (_edit_event(5, lambda d: d.update(output=d["output"] + "x")), "line 7: differs from the replay"),
+        (_shrink_rounds, "line 1: differs from the replay"),
+        (_edit_counts(lambda c: c.update(bogus=0)), "line 1: differs from the replay"),
+        (_edit_counts(lambda c: c.update(out_of_budget="0")), "line 1: differs from the replay"),
+        (_edit_counts(lambda c: c.update(halted_early=c["halted_early"] + 1)), "line 1: differs from the replay"),
+        (
+            _edit_event(5, lambda d: d.update(output=_flip_first_bit(d["output"]))),
+            "line 7: differs from the replay",
+        ),
+        (_edit_event(5, lambda d: d.update(steps=d["steps"] + 1)), "line 7: differs from the replay"),
+        (_claim_max_len_60, "line 1: the events of length <= "),
+        (_claim_huge_max_len, "line 1: the counts for max_len 10000000 take more than"),
+        (_truncate, "line 302: differs from the replay"),
+        (
+            _edit_identity_and_digest(lambda s: s.replace("registry[]", "registry[1=bogus]")),
+            "line 1: no machine has identity",
+        ),
+        (
+            _edit_identity_and_digest(lambda s: s.replace("v1:", "v2:")),
+            "line 1: no machine has identity",
+        ),
+        (_header_text(""), "line 1: Expecting value"),
+        (_header_text("{"), "line 1: Expecting property name"),
+        (_header_text("[1, 2]"), "line 1: TypeError("),
+        (_drop_header_key("budget"), "line 1: KeyError('budget')"),
+        (_drop_header_key("identity"), "line 1: KeyError('identity')"),
+        (lambda header, events: "", "line 1: Expecting value"),
     ],
     ids=[
         "last-event-dropped",
@@ -229,12 +307,27 @@ def _rewrite(log, path, edit):
         "counts-extra-key",
         "counts-not-int",
         "counts-sum-off",
+        "output-bit-flipped",
+        "steps-within-round",
+        "max-len-60",
+        "max-len-huge",
+        "truncated",
+        "identity-unknown-decoder",
+        "identity-v1-edited",
+        "header-empty-line",
+        "header-not-json",
+        "header-not-object",
+        "header-no-budget",
+        "header-no-identity",
+        "file-empty",
     ],
 )
 def test_inconsistent_log_exits_1(log14, tmp_path, capsys, edit, message):
     bad = _rewrite(log14, tmp_path / "bad.jsonl", edit)
     capsys.readouterr()
+    start = time.perf_counter()
     assert main(["measure", "--quantity", "omega", "--log", str(bad)]) == 1
+    assert time.perf_counter() - start < 2
     prefix = f"error: {bad}: "
     err = capsys.readouterr().err
     assert err.startswith(prefix) and message in err[len(prefix) :]

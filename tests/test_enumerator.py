@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from omegalab import Budget, Machine, _purecore, enumerate_domain
 from omegalab.bits import pair_to_bits
-from omegalab.enumerator import HaltEvent, load_log, write_log
+from omegalab.enumerator import HaltEvent, _event_line, load_log, write_log
 from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
 from reference import ref_halting_set, ref_steps
 
@@ -165,6 +168,12 @@ def test_round_cap_excludes_long_programs(machine):
     assert all(len(e.program) <= 4 for e in res.events)
 
 
+def test_round_cap_past_every_run_changes_nothing(machine):
+    # no program of length <= 10 runs past 2**11 steps
+    small, huge = enumerate_domain(machine, Budget(10, 11)), enumerate_domain(machine, Budget(10, 10**6))
+    assert (small.events, small.counts) == (huge.events, huge.counts)
+
+
 def test_worker_independence(machine):
     one = enumerate_domain(machine, Budget(12, 32), workers=1)
     four = enumerate_domain(machine, Budget(12, 32), workers=4)
@@ -215,11 +224,29 @@ def test_stream_first_witness_order(enum14):
 
 
 def test_log_roundtrip(tmp_path, enum14):
-    path = tmp_path / "log.jsonl"
-    write_log(enum14, path)
-    back = load_log(path)
-    assert back.events == enum14.events
-    assert back.counts == enum14.counts
-    assert back.budget == enum14.budget
-    assert back.machine_digest == enum14.machine_digest
-    assert back.is_exhaustive()
+    registered = Machine(REGISTRIES["reverse1-loop2"])
+    for result in (
+        enum14,
+        enumerate_domain(registered, Budget(12)),
+        enumerate_domain(registered, Budget(10, 10**6)),  # a round cap past every run
+        enumerate_domain(registered, Budget(12, 9)),  # max_rounds < max_len
+    ):
+        path = tmp_path / "log.jsonl"
+        write_log(result, path)
+        back = load_log(path)
+        assert back.events == result.events
+        assert back.counts == result.counts
+        assert back.budget == result.budget
+        assert back.machine_digest == result.machine_digest
+        assert back.machine_identity == result.machine_identity
+        assert back.is_exhaustive() == result.is_exhaustive()
+    assert enum14.is_exhaustive() and not result.is_exhaustive()
+
+
+_bits = st.text(alphabet="01")
+
+
+@given(st.builds(HaltEvent, st.integers(1), st.integers(1), _bits, _bits, st.integers(1)))
+def test_event_line_is_json(ev):
+    """The shared event format writes exactly what json.dumps writes for an event."""
+    assert _event_line(ev) == json.dumps(ev._asdict(), sort_keys=True) + "\n"

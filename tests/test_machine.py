@@ -92,6 +92,48 @@ def test_registry_accepts_only_branch_table_rows():
         Machine().register_submachine(1, object())
 
 
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_from_identity_rebuilds_the_machine(registry):
+    m = Machine(REGISTRIES[registry])
+    back = Machine.from_identity(m.identity())
+    assert back.identity() == m.identity()
+    assert dict(back.rows) == dict(m.rows)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda s: s + "x",
+        lambda s: s.replace("v1:", "v2:"),
+        lambda s: s.replace("registry[]", "registry[1=bogus]"),
+        lambda s: s.replace("registry[]", "registry[0=loop-forever]"),
+        lambda s: s.replace("registry[]", "registry[01=loop-forever]"),
+        lambda s: s.replace("registry[]", "registry[2=loop-forever,1=reverse-payload]"),
+        lambda s: s.replace("registry[]", "registry[1=loop-forever,1=loop-forever]"),
+        lambda s: s.replace("registry[]", "registry[,]"),
+        lambda s: s.replace("registry[]", "registry[x=loop-forever]"),
+        lambda s: "",
+        lambda s: None,
+    ],
+    ids=[
+        "suffix",
+        "table-v2",
+        "unknown-decoder",
+        "index-zero",
+        "index-leading-zero",
+        "entries-unsorted",
+        "index-repeated",
+        "empty-entries",
+        "index-not-int",
+        "empty",
+        "not-str",
+    ],
+)
+def test_from_identity_refuses_what_no_machine_gives(edit):
+    with pytest.raises(RegistryError):
+        Machine.from_identity(edit(Machine().identity()))
+
+
 @pytest.mark.parametrize("bits", ["", "00"])
 def test_reverse_payload_incomplete_gamma(bits):
     m = Machine({1: ReversePayloadDecoder()})
