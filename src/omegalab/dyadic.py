@@ -173,11 +173,6 @@ class DyadicInterval:
     def __sub__(self, other: "DyadicInterval") -> "DyadicInterval":
         return DyadicInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def scale(self, k: int) -> "DyadicInterval":
-        if k < 0:
-            raise ValueError("nonnegative scale only")
-        return DyadicInterval(self.lo * k, self.hi * k)
-
     def __contains__(self, value: Fraction) -> bool:
         return self.lo.as_fraction() <= value <= self.hi.as_fraction()
 
@@ -194,25 +189,6 @@ def pow2_enclosure(num: int, den: int, prec: int) -> DyadicInterval:
     outward, so the enclosure is always sound.
     """
     return SharedRootPow2(prec).enclosure(num, den)
-
-
-def _fraction_root(r: int, den: int, prec: int) -> int:
-    """floor(2**(prec + 1 - r/den)): one floor den-th root of a power of two."""
-    return iroot(1 << ((prec + 1) * den - r), den)[0]
-
-
-def _pow2_by_root(num: int, den: int, prec: int, root: int) -> DyadicInterval:
-    """2**(-num/den), den not dividing num, from root = _fraction_root(num % den, den, prec).
-
-    With q = num // den and shift = prec, or q + 1 + prec when num/den > prec,
-    floor(2**(shift - num/den)) == root >> (prec + 1 - (shift - q)), a shift
-    that is never negative.  So every exponent with the same fractional part
-    r/den shares one root.
-    """
-    q = num // den
-    shift = prec if prec * den >= num else q + 1 + prec
-    floor = root >> (prec + 1 - (shift - q))
-    return DyadicInterval(Dyadic(floor, shift), Dyadic(floor + 1, shift))
 
 
 class SharedRootPow2:
@@ -233,23 +209,39 @@ class SharedRootPow2:
 
     def enclosure(self, num: int, den: int) -> DyadicInterval:
         """Enclosure of 2**(-num/den) with width <= 2**-self.prec."""
+        a, b, e = self._endpoints(num, den)
+        return DyadicInterval(Dyadic(a, e), Dyadic(b, e))
+
+    def _endpoints(self, num: int, den: int) -> tuple[int, int, int]:
+        """Integers (a, b, e) with a/2**e <= 2**(-num/den) <= b/2**e: enclosure()'s ends.
+
+        den 1 is exact and den > 64 takes the ladder.  Otherwise, with
+        r = num % den and q = num // den, root = floor(2**(prec + 1 - r/den)) is
+        one floor den-th root of a power of two, kept per (r, den).  With
+        shift = prec, or q + 1 + prec when num/den > prec,
+        floor(2**(shift - num/den)) == root >> (prec + 1 - (shift - q)), a shift
+        that is never negative.
+        """
         if num < 0 or den < 1:
             raise ValueError("need num >= 0, den >= 1")
         g = gcd(num, den)
         num, den = num // g, den // g
         if den == 1:
-            return DyadicInterval.point(Dyadic.pow2(num))
+            return 1, 1, num
         if den > _ROOT_METHOD_MAX_DEN:
             return _pow2_by_ladder(num, den, self.prec)
         key = (num % den, den)
         root = self._roots.get(key)
         if root is None:
-            root = self._roots[key] = _fraction_root(*key, self.prec)
-        return _pow2_by_root(num, den, self.prec, root)
+            root = self._roots[key] = iroot(1 << ((self.prec + 1) * den - key[0]), den)[0]
+        q = num // den
+        shift = self.prec if self.prec * den >= num else q + 1 + self.prec
+        floor = root >> (self.prec + 1 - (shift - q))
+        return floor, floor + 1, shift
 
 
-def _pow2_by_ladder(num: int, den: int, prec: int) -> DyadicInterval:
-    """2**-(q + r/den) via interval square roots of 1/2, one per exponent bit."""
+def _pow2_by_ladder(num: int, den: int, prec: int) -> tuple[int, int, int]:
+    """(a, b, e) enclosing 2**-(q + r/den) as in _endpoints, via interval square roots of 1/2."""
     q, r = divmod(num, den)
     work = prec + 16
     while True:
@@ -272,5 +264,5 @@ def _pow2_by_ladder(num: int, den: int, prec: int) -> DyadicInterval:
         # dropped exponent tail: divide by 2**t with t < 2**-work
         lo = lo - (lo >> work) - 1
         if hi - lo <= 1 << (work - prec):
-            return DyadicInterval(Dyadic(max(lo, 0), work + q), Dyadic(hi, work + q))
+            return max(lo, 0), hi, work + q
         work += 32

@@ -256,9 +256,17 @@ def _log_lines(result: EnumerationResult):
 
 
 def write_log(result: EnumerationResult, path) -> None:
-    """JSONL event log: one header line, then one line per halt event."""
+    """JSONL event log: one header line, then one line per halt event.
+
+    The header is formatted before the file is opened, so a header that
+    cannot be written (a count past the int-to-string digit limit) leaves
+    no file behind.
+    """
+    lines = _log_lines(result)
+    header = next(lines)
     with open(path, "w") as fh:
-        fh.writelines(_log_lines(result))
+        fh.write(header)
+        fh.writelines(lines)
 
 
 def load_log(path) -> EnumerationResult:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import islice, repeat
 
 from .dyadic import Dyadic, DyadicInterval, SharedRootPow2
 from .enumerator import EnumerationResult
@@ -25,19 +25,39 @@ def _as_temperature(T) -> Fraction:
     return t
 
 
+def _running_sums(pow2: SharedRootPow2, terms, x: Fraction):
+    """Running sums of n * 2**(-l/x), one term per (l, n) in terms, as integers (lo, hi, e).
+
+    Each yield encloses the sum so far in [lo/2**e, hi/2**e]: every term's
+    enclosure endpoints are added into two integers at the largest exponent
+    seen so far, so no interval is built per term.  Addition is exact, so
+    each yield equals the term-by-term DyadicInterval sum bit for bit.
+    """
+    p, q = x.numerator, x.denominator
+    lo = hi = e = 0
+    for length, n in terms:
+        a, b, f = pow2._endpoints(length * q, p)
+        if f > e:
+            lo, hi, e = lo << (f - e), hi << (f - e), f
+        else:
+            a, b = a << (e - f), b << (e - f)
+        lo += n * a
+        hi += n * b
+        yield lo, hi, e
+
+
 class PartialSums:
     """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a fixed length sequence.
 
     Entries are grown only as far as a caller asks.
     """
 
-    __slots__ = ("lengths", "x", "sums", "_pow2")
+    __slots__ = ("lengths", "sums", "_running")
 
     def __init__(self, lengths: tuple[int, ...], x: Fraction, prec: int):
         self.lengths = lengths
-        self.x = x
         self.sums = [DyadicInterval.zero()]
-        self._pow2 = SharedRootPow2(prec)
+        self._running = _running_sums(SharedRootPow2(prec), zip(lengths, repeat(1)), Fraction(x))
 
     def at(self, k: int) -> DyadicInterval:
         """S_k for 0 <= k <= len(lengths)."""
@@ -45,11 +65,8 @@ class PartialSums:
             raise ValueError(f"k={k} out of range (stream length {len(self.lengths)})")
         sums = self.sums
         if k >= len(sums):
-            p, q = self.x.numerator, self.x.denominator
-            total = sums[-1]
-            for length in self.lengths[len(sums) - 1 : k]:
-                total = total + self._pow2.enclosure(length * q, p)
-                sums.append(total)
+            for lo, hi, e in islice(self._running, k + 1 - len(sums)):
+                sums.append(DyadicInterval(Dyadic(lo, e), Dyadic(hi, e)))
         return sums[k]
 
     def full(self) -> list[DyadicInterval]:
@@ -74,32 +91,18 @@ def stream_sums(enum: EnumerationResult, x, prec: int) -> PartialSums:
 def _pow2_sum(lengths, x=1, prec: int = 64, weighted: bool = False) -> DyadicInterval:
     """Enclosure of sum w 2**(-l/x) over lengths l, w = l if weighted else 1, in one pass.
 
-    When num(x) divides every l, every exponent is an integer and the sum is
-    one exact integer at the largest exponent.  Stream lengths are nearly all
-    distinct (499 of 499 at L = 18), so this one big-integer sum is far
-    cheaper than an enclosure and an interval addition per length.
-    Otherwise each distinct length gets one enclosure, scaled by its count:
-    dyadic addition is exact and N equal enclosures add up to exactly
-    scale(N), so the result equals the term-by-term sum (the last
-    PartialSums entry) bit for bit.
+    Equal lengths are grouped and their enclosure is added once, times the
+    group's weight; this is _running_sums' last value, so it equals the
+    term-by-term sum (the last PartialSums entry) bit for bit.
     """
-    pow2 = SharedRootPow2(prec)  # first, so prec < 1 raises on the exact path too
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
     counts = Counter(lengths)
     if weighted:
         for length in counts:
             counts[length] *= length
-    if gcd(*counts) % p == 0:
-        top = max(counts, default=0) * q // p
-        return DyadicInterval.point(
-            Dyadic(sum(n << (top - length * q // p) for length, n in counts.items()), top)
-        )
-    total = DyadicInterval.zero()
-    for length, n in counts.items():
-        term = pow2.enclosure(length * q, p)
-        total = total + (term if n == 1 else term.scale(n))
-    return total
+    lo = hi = e = 0
+    for lo, hi, e in _running_sums(SharedRootPow2(prec), counts.items(), Fraction(x)):
+        pass
+    return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:

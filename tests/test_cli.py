@@ -109,6 +109,16 @@ def test_missing_log_exits_1(capsys, tmp_path):
     assert main(["measure", "--quantity", "omega", "--log", str(tmp_path / "no.jsonl")]) == 1
 
 
+def test_unwritable_header_leaves_no_log(tmp_path, capsys):
+    # out_of_budget counts about 2**15001 programs: more decimal digits than str(int) allows
+    out = tmp_path / "huge.jsonl"
+    capsys.readouterr()
+    assert main(["enumerate", "--max-len", "15000", "--max-rounds", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limit (4300 digits)" in err
+    assert not out.exists()
+
+
 
 def _drop_last_event(header, events):
     return events[:-1]

@@ -4,10 +4,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from omegalab.dyadic import Dyadic, DyadicInterval, SharedRootPow2, iroot, pow2_enclosure
+from omegalab.dyadic import (
+    Dyadic,
+    DyadicInterval,
+    SharedRootPow2,
+    _pow2_by_ladder,
+    iroot,
+    pow2_enclosure,
+)
 
 dyadics = st.builds(
     Dyadic,
@@ -175,3 +182,54 @@ def test_shared_root_mixed_denominators(prec):
         assert shared.enclosure(num, den) == pow2_enclosure(num, den, prec)
     with pytest.raises(ValueError):
         SharedRootPow2(0)
+
+
+def former_pow2_by_root(num, den, prec):
+    """The root path's formula before it returned integers, kept as the oracle.
+
+    num/den is reduced with den not dividing num.  floor(2**(prec + 1 - r/den))
+    is shifted down to floor(2**(shift - num/den)), shift = prec when
+    num/den <= prec and q + 1 + prec above it.
+    """
+    root = iroot(1 << ((prec + 1) * den - num % den), den)[0]
+    q = num // den
+    shift = prec if prec * den >= num else q + 1 + prec
+    floor = root >> (prec + 1 - (shift - q))
+    return floor, floor + 1, shift
+
+
+precs = st.integers(min_value=1, max_value=200)
+
+
+@given(st.data(), precs, st.integers(min_value=2, max_value=64), st.booleans())
+def test_endpoints_root_path_match_former_formula(data, prec, den, above):
+    r = data.draw(st.integers(min_value=1, max_value=den - 1))
+    q = data.draw(st.integers(prec, 3 * prec) if above else st.integers(0, prec - 1))  # num/den vs prec
+    g = gcd(r, den)
+    num, den = (q * den + r) // g, den // g
+    assert (num > prec * den) == above
+    want = former_pow2_by_root(num, den, prec)
+    shared = SharedRootPow2(prec)
+    assert shared._endpoints(num, den) == want
+    assert shared._endpoints(3 * num, 3 * den) == want  # unreduced, from the kept root
+    lo, hi, e = want
+    assert shared.enclosure(num, den) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
+    assert pow2_enclosure(num, den, prec) == shared.enclosure(num, den)
+
+
+@given(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=300), precs)
+def test_endpoints_integer_exponent_match_pow2(k, den, prec):
+    a, b, e = SharedRootPow2(prec)._endpoints(k * den, den)
+    assert (a, b, e) == (1, 1, k)
+    assert Dyadic(a, e) == Dyadic.pow2(k)
+
+
+@given(st.integers(min_value=0, max_value=3000), st.integers(min_value=65, max_value=400), precs)
+def test_endpoints_ladder_path_match_ladder(num, den, prec):
+    g = gcd(num, den)
+    assume(den // g > 64)
+    want = _pow2_by_ladder(num // g, den // g, prec)
+    assert SharedRootPow2(prec)._endpoints(num, den) == want
+    lo, hi, e = want
+    assert pow2_enclosure(num, den, prec) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
+    _brackets(num, den, prec)

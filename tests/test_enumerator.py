@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab import Budget, Machine, _purecore, enumerate_domain
@@ -241,6 +241,46 @@ def test_log_roundtrip(tmp_path, enum14):
         assert back.machine_identity == result.machine_identity
         assert back.is_exhaustive() == result.is_exhaustive()
     assert enum14.is_exhaustive() and not result.is_exhaustive()
+
+
+@pytest.fixture(scope="module")
+def logs10(tmp_path_factory):
+    """A scratch folder and the L = 10 log bytes of two machines, by registry name."""
+    folder = tmp_path_factory.mktemp("logs10")
+    logs = {}
+    for name in ("none", "reverse1-loop2"):
+        path = folder / f"{name}.jsonl"
+        write_log(enumerate_domain(Machine(REGISTRIES[name]), Budget(10)), path)
+        logs[name] = path.read_bytes()
+    return folder, logs
+
+
+@pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_load_log_refuses_or_reproduces_any_edit(logs10, registry, data):
+    """One random edit: load_log refuses it at a line, or its result writes the edited bytes."""
+    folder, logs = logs10
+    log = logs[registry]
+    kind = data.draw(st.sampled_from(["overwrite", "delete", "duplicate", "truncate"]))
+    if kind == "overwrite":
+        i = data.draw(st.integers(0, len(log) - 1))
+        edited = log[:i] + bytes([data.draw(st.integers(0, 255))]) + log[i + 1 :]
+    elif kind == "truncate":
+        edited = log[: data.draw(st.integers(0, len(log)))]
+    else:
+        lines = log.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edited = b"".join(lines[:i] + [lines[i]] * (2 if kind == "duplicate" else 0) + lines[i + 1 :])
+    path = folder / "edited.jsonl"
+    path.write_bytes(edited)
+    try:
+        result = load_log(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: line ")
+        return
+    write_log(result, folder / "rewritten.jsonl")
+    assert (folder / "rewritten.jsonl").read_bytes() == edited
 
 
 _bits = st.text(alphabet="01")
