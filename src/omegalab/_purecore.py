@@ -19,11 +19,18 @@ output bit emitted, plus one final halt transition.
 
 This module is the only place that knows the table, submachine rows
 included, and reads it two ways: decode_pair runs one program, and
-generate_halts reads the table as a grammar, emitting the halting codewords
-of one length directly and counting every other outcome per codeword class.
+generate_halts reads the table as a grammar, emitting the halting codeword
+classes of one length and counting every other outcome per class.  A
+halting class (prefix, wlen, row, fit) stands for the programs prefix w,
+one per payload w < fit of wlen bits; class_strings spells a run of its
+payloads out as program and output strings, and class_steps gives their
+step counts.
 """
 
 from __future__ import annotations
+
+from itertools import islice, product, repeat
+from operator import itemgetter, mul
 
 # outcome codes
 HALT = 0
@@ -139,17 +146,20 @@ def generate_halts(length: int, budget: int, subs):
     more family of classes, whose header is 111 g(e); the subtree under a
     LOOP row is out of budget, and one under an unregistered e is decided.
 
-    Returns (halts, nmi, early, oob, no_sub): halts lists
-    (val, out_val, out_len, steps) exactly as decode_pair reports each
-    halting program, and the next four are outcome counts.  Requires
-    budget > length, so every read fits in the budget.
+    Returns (classes, nmi, early, oob, no_sub): classes lists the halting
+    classes (prefix, wlen, row, fit), in increasing order of their programs
+    within each row, and the next four are outcome counts.  A class's
+    programs are (prefix << wlen) | w for the payloads w < fit, and each
+    halts as decode_pair reports it, with output _output(row, w, wlen) and
+    class_steps(length, wlen, row, w) steps.  Requires budget > length, so
+    every read fits in the budget.
     """
     if budget <= length:
         raise ValueError("budget must exceed the program length")
     rows = [(*_HEADER[branch], branch) for branch in range(3)]
     rows += [(*_sub_header(e), row) for e, row in sorted(subs.items()) if row == REVERSE]
 
-    halts = []
+    classes = []
     early = oob = 0
     covered = 0  # programs below some codeword or submachine prefix
     for head, hlen, row in rows:
@@ -166,11 +176,8 @@ def generate_halts(length: int, budget: int, subs):
             oob += ((1 << wlen) - fit) << spare
             if spare:
                 early += fit << spare
-            else:
-                prefix = ((head << glen) | n) << wlen
-                for w in range(fit):
-                    out_val, out_len = _output(row, w, wlen)
-                    halts.append((prefix | w, out_val, out_len, clen + out_len + 1))
+            elif fit:
+                classes.append(((head << glen) | n, wlen, row, fit))
             n += 1
 
     # 111 g(e): the 2**(b-1) indices e of bit length b each own a subtree
@@ -191,4 +198,31 @@ def generate_halts(length: int, budget: int, subs):
                 covered += 1 << spare
     covered += no_sub
 
-    return halts, (1 << length) - covered, early, oob, no_sub
+    return classes, (1 << length) - covered, early, oob, no_sub
+
+
+def class_steps(length: int, wlen: int, row: int, w: int) -> int:
+    """Steps of payload w of a length-bit halting class: its reads, its output bits, one halt.
+
+    They grow with w by 0 or 1 per payload, so a run's steps are one value
+    or a range.
+    """
+    return length + _output(row, w, wlen)[1] + 1
+
+
+def class_strings(length: int, prefix: int, wlen: int, row: int, lo: int, hi: int):
+    """(programs, outputs) of the payloads lo <= w < hi of one halting class, as bit strings.
+
+    Payloads come out in increasing order, spelled by C-level iterators; no
+    program is decoded.
+    """
+    payloads = list(islice(map("".join, product("01", repeat=wlen)), lo, hi))
+    programs = map(format(prefix, f"0{length - wlen}b").__add__, payloads)
+    if row == 0:
+        return programs, payloads
+    if row == 1:
+        return programs, map(mul, payloads, repeat(2))
+    if row == REVERSE:
+        return programs, map(itemgetter(slice(None, None, -1)), payloads)
+    base = (1 << wlen) - 1  # zero run: 2**wlen + w - 1 output bits
+    return programs, map("0".__mul__, range(base + lo, base + hi))

@@ -1,4 +1,4 @@
-"""Batch front end: enumerate, measure, census, extract, fixedpoint.
+"""Batch front end: enumerate, verify, measure, census, extract, fixedpoint.
 
 Artifacts are plain JSON/JSONL/CSV with the machine digest and budget
 embedded, so any of them can be regenerated bit for bit from its own
@@ -60,6 +60,16 @@ def cmd_enumerate(args) -> int:
         "log": args.out,
     }
     sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+def cmd_verify(args) -> int:
+    enum = enumerator.load_log(args.log)
+    budget = enum.budget
+    sys.stdout.write(
+        f"ok: {args.log}: replays byte for byte ({len(enum.events)} events, "
+        f"max_len {budget.max_len}, max_rounds {budget.max_rounds})\n"
+    )
     return 0
 
 
@@ -154,6 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
+
+    p = sub.add_parser("verify", help="replay a log against its machine and budget")
+    p.add_argument("--log", required=True)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure", help="evaluate one of the five sums from a log")
     p.add_argument("--quantity", choices=["omega", "cs", "z", "cst", "csbt"], required=True)

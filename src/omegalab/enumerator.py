@@ -8,9 +8,12 @@ max(|p|, ceil(log2 steps)).
 
 There is one enumeration path.  The halting programs of each length come
 straight from the branch grammar (_purecore.generate_halts), registered
-submachine rows included, which also counts every other outcome; no
-program is run one by one.  This keeps enumeration stateless, replayable
-and deterministic.
+submachine rows included, as codeword classes: runs of programs that share
+a prefix and differ in their payload.  The grammar also counts every other
+outcome; no program is run one by one.  A length's classes cover disjoint,
+increasing ranges of programs, so the canonical order sorts class runs,
+not events, and each run's events are spelled out by C-level iterators.
+This keeps enumeration stateless, replayable and deterministic.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import zip_longest
+from functools import cached_property, partial
+from io import BytesIO
+from itertools import chain, count, islice, repeat, zip_longest
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import _purecore
-from .bits import pair_to_bits
 from .machine import Machine
 
 
@@ -104,10 +108,6 @@ def _cached(cache: OrderedDict, key, build):
     return value
 
 
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length() if n > 1 else 0
-
-
 class EnumerationResult:
     """Completed enumeration: ordered halt events plus decided/undecided counts."""
 
@@ -179,6 +179,23 @@ class EnumerationResult:
         return CompressibleStream(t, tuple(members))
 
 
+_new_event = partial(tuple.__new__, HaltEvent)
+
+
+def _round_runs(length: int, first: int, slope: int, fit: int):
+    """(round, lo, hi) for each run of payloads lo <= w < hi discovered in one round.
+
+    Payload w of a length-bit class halts after first + slope * w steps,
+    slope 0 or 1, and is discovered in round max(length, ceil(log2 steps)).
+    """
+    lo = 0
+    while lo < fit:
+        rnd = max(length, (first + slope * lo - 1).bit_length())
+        hi = min(fit, (1 << rnd) - first + 1) if slope else fit
+        yield rnd, lo, hi
+        lo = hi
+
+
 def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> EnumerationResult:
     """Decide every program of length <= max_len under the budget's schedule.
 
@@ -208,26 +225,33 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
         "no_such_submachine": 0,
         "out_of_budget": (2 << budget.max_len) - (2 << scheduled),
     }
-    keyed = []
+    runs = []
     bits = 0
     for length in range(1, scheduled + 1):
-        halts, nmi, early, oob, no_sub = _purecore.generate_halts(length, cap, machine.rows)
+        classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, cap, machine.rows)
         counts["needs_more_input"] += nmi
         counts["halted_early"] += early
         counts["out_of_budget"] += oob
         counts["no_such_submachine"] += no_sub
-        # steps <= cap, so the discovery round never passes max_rounds
-        for val, out_val, out_len, steps in halts:
-            keyed.append((max(length, _ceil_log2(steps)), length, val, out_val, out_len, steps))
-            bits += length + out_len
+        for prefix, wlen, row, fit in classes:
+            first = _purecore.class_steps(length, wlen, row, 0)
+            slope = _purecore.class_steps(length, wlen, row, 1) - first
+            # an event's program and output bits are its steps less one
+            bits += fit * (first - 1) + slope * fit * (fit - 1) // 2
+            # steps <= cap, so the discovery round never passes max_rounds
+            for rnd, lo, hi in _round_runs(length, first, slope, fit):
+                steps = first + slope * lo
+                runs.append((rnd, length, (prefix << wlen) + lo, prefix, wlen, row, lo, hi, steps, slope))
         if bits > max_bits:
             raise ValueError(f"the events of length <= {length} take more than {max_bits} bits")
-    keyed.sort(key=lambda item: item[:3])
+    # runs cover disjoint program ranges, so their first three keys order them
+    runs.sort()
 
-    events = [
-        HaltEvent(seq, rnd, pair_to_bits(val, length), pair_to_bits(out_val, out_len), steps)
-        for seq, (rnd, length, val, out_val, out_len, steps) in enumerate(keyed, start=1)
-    ]
+    events = []
+    for rnd, length, _, prefix, wlen, row, lo, hi, steps, slope in runs:
+        programs, outputs = _purecore.class_strings(length, prefix, wlen, row, lo, hi)
+        steps = range(steps, steps + hi - lo) if slope else repeat(steps)
+        events += map(_new_event, zip(count(len(events) + 1), repeat(rnd), programs, outputs, steps))
     counts["halt"] = len(events)
 
     return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts)
@@ -236,14 +260,24 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
 # One event line: the bytes of json.dumps(event, sort_keys=True) for binary
 # program and output strings and int seq, round and steps.
 _EVENT_LINE = '{"output": "%s", "program": "%s", "round": %d, "seq": %d, "steps": %d}\n'
+_event_fields = itemgetter(3, 2, 1, 0, 4)  # output, program, round, seq, steps
+
+# Lines load_log compares at once, joined and encoded as one and checked
+# against as many bytes of the file: few enough that a block of the
+# longest outputs stays small next to the events.
+_COMPARE_BLOCK = 256
 
 
 def _event_line(ev: HaltEvent) -> str:
-    return _EVENT_LINE % (ev.output, ev.program, ev.round, ev.seq, ev.steps)
+    return _EVENT_LINE % _event_fields(ev)
 
 
 def _log_lines(result: EnumerationResult):
-    """The log of result, line by line: the one definition of the log format."""
+    """The log of result, line by line: the one definition of the log format.
+
+    The header is formatted at once; the event lines are formatted as they
+    are read, by C-level iterators.
+    """
     header = {
         "machine": result.machine_digest,
         "identity": result.machine_identity,
@@ -251,8 +285,8 @@ def _log_lines(result: EnumerationResult):
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
     }
-    yield json.dumps(header, sort_keys=True) + "\n"
-    yield from map(_event_line, result.events)
+    lines = map(_EVENT_LINE.__mod__, map(_event_fields, result.events))
+    return chain((json.dumps(header, sort_keys=True) + "\n",), lines)
 
 
 def write_log(result: EnumerationResult, path) -> None:
@@ -287,10 +321,16 @@ def load_log(path) -> EnumerationResult:
             budget = Budget(int(limits["max_len"]), int(limits["max_rounds"]))
             result = _enumerate(machine, budget, 8 * os.fstat(fh.fileno()).st_size)
             fh.seek(0)
-            lines = zip_longest(map(str.encode, _log_lines(result)), fh, fillvalue=b"")
-            for n, (want, got) in enumerate(lines, 1):
-                if want != got:
-                    raise ValueError("differs from the replay of the header's machine and budget")
+            lines = _log_lines(result)
+            while want := "".join(islice(lines, _COMPARE_BLOCK)).encode():
+                got = fh.read(len(want))
+                if got != want:
+                    pairs = zip_longest(BytesIO(want), BytesIO(got), fillvalue=b"")
+                    n += next(i for i, (a, b) in enumerate(pairs) if a != b)
+                    break
+                n += want.count(b"\n")
+            if want or fh.read(1):
+                raise ValueError("differs from the replay of the header's machine and budget")
         except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
             detail = exc if isinstance(exc, ValueError) else repr(exc)
             raise ValueError(f"{path}: line {n}: {detail}") from exc

@@ -21,7 +21,7 @@ from .dyadic import Dyadic, DyadicInterval
 from .enumerator import EnumerationResult
 from .extractor import NoCutoff, find_cutoff, tail_after_cutoff
 from .machine import Machine, OutcomeKind, phi
-from .measures import PartialSums, _pow2_sum, cs_lower, cst_lower, stream_sums
+from .measures import PartialSums, _pow2_sum, cst_lower, stream_sums
 
 
 class ReconstructFailed(Exception):
@@ -258,8 +258,9 @@ class PhiContext:
 
     f: rationals strictly above the target temperature, below 1, decreasing
     toward it.  g: rationals below or equal to the tempered
-    compressible-string sum, increasing toward it.  c is the candidate
-    constant (the lower-gap constant).  prec controls interval certification.
+    compressible-string sum; the frame search reads only the largest.  c is
+    the candidate constant (the lower-gap constant).  prec controls interval
+    certification.
     """
 
     f: tuple[Fraction, ...]
@@ -269,14 +270,17 @@ class PhiContext:
 
 
 def default_context(enum: EnumerationResult, T, t, depth: int = 48, prec: int = 96) -> PhiContext:
-    """Tables converging to T from above and to the tempered sum from below."""
+    """A table converging to T from above, and one lower bound g of the tempered sum.
+
+    g is the sum's lower end at precision 8 + depth.  Every precision gives
+    a sound bound, and the frame search reads only the largest g, so one
+    is enough.
+    """
     T = Fraction(T)
     t = Fraction(t)
     constants = derive_constants(enum, T, t, prec)
     f = tuple(T + (t - T) / (1 << l) for l in range(1, depth + 1))
-    g = tuple(
-        cst_lower(enum, T, prec=8 + m).lo.as_fraction() for m in range(1, depth + 1)
-    )
+    g = (cst_lower(enum, T, prec=8 + depth).lo.as_fraction(),)
     return PhiContext(f, g, constants.c_lower, prec)
 
 
@@ -358,7 +362,8 @@ def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext
     certifies the tail bound sum_{i>k0} 2**(-|s_i|/T) < 2**-n.
     """
     T = Fraction(T)
-    cs_value = cs_lower(enum).as_fraction()
+    # cs_lower(enum), read from the exact x = 1 table that find_cutoff walks
+    cs_value = stream_sums(enum, 1, 64).full()[-1].lo.as_fraction()
     if cs_value == 0:
         raise ReconstructFailed("compressible-string sum is zero at this budget")
     m = -((-T.numerator * n) // T.denominator)  # ceil(T n)

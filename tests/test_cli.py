@@ -105,6 +105,26 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_good_log(log14, capsys):
+    capsys.readouterr()
+    assert main(["verify", "--log", str(log14)]) == 0
+    out = capsys.readouterr().out
+    assert out == f"ok: {log14}: replays byte for byte (381 events, max_len 14, max_rounds 32)\n"
+
+
+@pytest.mark.parametrize("line", [2, 300, 382])
+def test_verify_edited_log_exits_1(log14, tmp_path, capsys, line):
+    lines = log14.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(b'"steps": ', b'"steps": 1')
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["verify", "--log", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line {line}: differs from the replay of the header's machine and budget\n"
+
+
 def test_missing_log_exits_1(capsys, tmp_path):
     assert main(["measure", "--quantity", "omega", "--log", str(tmp_path / "no.jsonl")]) == 1
 

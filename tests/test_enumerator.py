@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from omegalab import Budget, Machine, _purecore, enumerate_domain
 from omegalab.bits import pair_to_bits
-from omegalab.enumerator import HaltEvent, _event_line, load_log, write_log
+from omegalab.enumerator import (
+    _COMPARE_BLOCK,
+    HaltEvent,
+    _enumerate,
+    _event_line,
+    _round_runs,
+    load_log,
+    write_log,
+)
 from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
 from reference import ref_halting_set, ref_steps
 
@@ -129,7 +137,14 @@ def test_generate_halts_matches_decode_pair():
     subs = {1: _purecore.REVERSE, 5: _purecore.REVERSE, 2: _purecore.LOOP}
     for length in range(1, 12):
         for budget in range(length + 1, length + 40):
-            halts, nmi, early, oob, no_sub = _purecore.generate_halts(length, budget, subs)
+            classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, budget, subs)
+            halts = []
+            for prefix, wlen, row, fit in classes:
+                assert fit > 0
+                for w in range(fit):
+                    out_val, out_len = _purecore._output(row, w, wlen)
+                    steps = _purecore.class_steps(length, wlen, row, w)
+                    halts.append(((prefix << wlen) | w, out_val, out_len, steps))
             want = {kind: 0 for kind in _KIND_NAMES}
             want_halts = []
             for val in range(1 << length):
@@ -146,6 +161,54 @@ def test_generate_halts_matches_decode_pair():
             ), (length, budget)
     with pytest.raises(ValueError):
         _purecore.generate_halts(4, 4, {})
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_halting_classes_are_found_in_their_length_round(registry):
+    """Every halting class runs within 2**length steps, so no class splits across rounds."""
+    rows = Machine(REGISTRIES[registry]).rows
+    caps = set()
+    for max_len in range(1, 17):
+        for max_rounds in [*range(1, max_len + 2), 32]:
+            cap = 1 << min(max_rounds, max_len + 1)
+            caps.update((length, cap) for length in range(1, min(max_len, max_rounds) + 1))
+    for length, cap in sorted(caps):
+        for prefix, wlen, row, fit in _purecore.generate_halts(length, cap, rows)[0]:
+            first = _purecore.class_steps(length, wlen, row, 0)
+            last = _purecore.class_steps(length, wlen, row, fit - 1)
+            assert length < first <= last <= 1 << length, (length, cap, prefix)
+            assert last - first in (0, fit - 1)  # steps grow by 0 or 1 per payload
+
+
+def test_round_runs_split_where_the_round_changes():
+    assert list(_round_runs(5, 6, 0, 4)) == [(5, 0, 4)]
+    assert list(_round_runs(5, 20, 1, 13)) == [(5, 0, 13)]  # steps 20..32
+    # steps 30..70: rounds 5 (30..32), 6 (33..64), 7 (65..70)
+    assert list(_round_runs(5, 30, 1, 41)) == [(5, 0, 3), (6, 3, 35), (7, 35, 41)]
+    assert list(_round_runs(3, 100, 0, 2)) == [(7, 0, 2)]
+
+
+@pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
+@pytest.mark.parametrize("budget", [Budget(14), Budget(16, 15), Budget(13, 40), Budget(19, 17)])
+def test_enumerate_gives_up_at_the_first_length_past_max_bits(registry, budget):
+    """The give-up length, against the events' program and output bits summed one by one."""
+    machine = Machine(REGISTRIES[registry])
+    res = enumerate_domain(machine, budget)
+    cum, total = {}, 0
+    for length in range(1, budget.max_len + 1):
+        total += sum(len(e.program) + len(e.output) for e in res.events if len(e.program) == length)
+        cum[length] = total
+    for max_bits in sorted({c + d for c in cum.values() for d in (-1, 0)}):
+        if max_bits < budget.max_len:
+            continue
+        length = next((n for n, c in cum.items() if c > max_bits), None)
+        if length is None:
+            assert _enumerate(machine, budget, max_bits).events == res.events
+        else:
+            with pytest.raises(ValueError, match=f"length <= {length} take more than {max_bits} bits"):
+                _enumerate(machine, budget, max_bits)
+    with pytest.raises(ValueError, match=f"the counts for max_len {budget.max_len} take"):
+        _enumerate(machine, budget, budget.max_len - 1)
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
@@ -281,6 +344,36 @@ def test_load_log_refuses_or_reproduces_any_edit(logs10, registry, data):
         return
     write_log(result, folder / "rewritten.jsonl")
     assert (folder / "rewritten.jsonl").read_bytes() == edited
+
+
+def _block_edits(lines, n):
+    """(name, edited bytes, line load_log must name) for edits at line n (1-based)."""
+    head = b"".join(lines[: n - 1])
+    line, rest = lines[n - 1], b"".join(lines[n:])
+    flipped = line[:-2] + bytes([line[-2] ^ 1]) + line[-1:]
+    yield "overwrite", head + flipped + rest, n
+    yield "cut-mid-line", head + line[: len(line) // 2], n
+    yield "cut-before-newline", head + line[:-1], n
+    yield "delete", head + rest, n
+    yield "duplicate", head + line + line + rest, n + 1
+    if rest:
+        # a header alone is too small to hold the events: the replay gives up at line 1
+        yield "cut-after-line", head + line, n + 1 if n > 1 else 1
+    else:
+        yield "append", head + line + line, n + 1
+
+
+def test_load_log_names_the_line_at_compare_block_edges(tmp_path, enum14):
+    path = tmp_path / "log14.jsonl"
+    write_log(enum14, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 382 > _COMPARE_BLOCK + 1
+    for n in (1, _COMPARE_BLOCK - 1, _COMPARE_BLOCK, _COMPARE_BLOCK + 1, len(lines)):
+        for name, edited, line in _block_edits(lines, n):
+            path.write_bytes(edited)
+            with pytest.raises(ValueError) as exc:
+                load_log(path)
+            assert str(exc.value).startswith(f"{path}: line {line}: "), (n, name, str(exc.value)[-80:])
 
 
 _bits = st.text(alphabet="01")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from omegalab.bits import expansion_prefix
-from omegalab.enumerator import Budget, EnumerationResult, HaltEvent
+from omegalab.enumerator import Budget, EnumerationResult, HaltEvent, enumerate_domain
 from omegalab.fixedpoint import (
     CompositeMachine,
     GapConstants,
@@ -28,9 +28,9 @@ from omegalab.fixedpoint import (
     w_k,
     z_k,
 )
-from omegalab.machine import Machine, raw_program
+from omegalab.machine import Machine, ReversePayloadDecoder, raw_program
 from omegalab.bits import gamma_encode, nat_to_string
-from omegalab.measures import cs_lower, cst_lower
+from omegalab.measures import cs_lower, cst_lower, stream_sums
 
 T = Fraction(1, 2)
 t = Fraction(3, 4)
@@ -217,6 +217,8 @@ def test_context_tables(ctx, enum14):
     cst = cst_lower(enum14, T, prec=160).lo.as_fraction()
     assert all(g <= cst for g in ctx.g)
     assert ctx.g[-1] > 0
+    # one bound, the finest of precisions 9..56: the frame search reads only the largest
+    assert ctx.g == (max(cst_lower(enum14, T, prec=8 + m).lo.as_fraction() for m in range(1, 49)),)
 
 
 def test_roundtrip_selected_n(enum14, ctx):
@@ -226,6 +228,18 @@ def test_roundtrip_selected_n(enum14, ctx):
         assert len(trip.selector) == ctx.c + 2
         assert trip.reconstructed == expansion_prefix(T, n)
         assert trip.tail_certified
+
+
+@pytest.mark.parametrize("max_len, registry", [(14, {}), (18, {}), (14, {1: ReversePayloadDecoder()})])
+def test_roundtrip_reads_cs_lower_from_the_cutoff_table(max_len, registry):
+    enum = enumerate_domain(Machine(registry), Budget(max_len))
+    last = stream_sums(enum, 1, 64).full()[-1]
+    assert last.lo == last.hi == cs_lower(enum)
+    ctx = default_context(enum, T, t)
+    for n in (1, 5, 12):
+        m = -((-T.numerator * n) // T.denominator)
+        trip = reconstruction_roundtrip(enum, T, n, ctx)
+        assert trip.prefix_bits == expansion_prefix(cs_lower(enum).as_fraction(), m, ones=True)
 
 
 def test_roundtrip_refuses_divergent_temperature(enum14, ctx):

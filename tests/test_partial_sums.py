@@ -95,7 +95,7 @@ def test_only_reread_tables_are_cached(machine):
     cst_lower(res, Fraction(5, 7))
     keys = list(res._sum_tables)
     assert not [key for key in keys if key[0] in grid or key[0] in (t, Fraction(5, 7))]
-    # T's own table is read by both sweeps; the 48 context precisions are one-pass sums
+    # T's own table is read by both sweeps; the context's one bound is a one-pass sum
     assert [key for key in keys if key[0] == T] == [(T, 96)]
 
 
