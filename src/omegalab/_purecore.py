@@ -21,15 +21,21 @@ This module is the only place that knows the table, submachine rows
 included, and reads it two ways: decode_pair runs one program, and
 generate_halts reads the table as a grammar, emitting the halting codeword
 classes of one length and counting every other outcome per class.  A
-halting class (prefix, wlen, row, fit) stands for the programs prefix w,
-one per payload w < fit of wlen bits; class_strings spells a run of its
-payloads out as program and output strings, and class_steps gives their
-step counts.
+halting class (prefix, wlen, row) stands for the programs prefix w, one per
+payload w of wlen bits; class_strings spells its payloads out as program
+and output strings, and class_steps gives their step counts.
+
+Every class halts within 2**L steps, L its codeword length: it takes
+L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
+REVERSE, and |output| <= 2**(wlen+1) - 2 on the zero-run row, whose
+codewords have L >= wlen + 4.  So a budget of 2**L steps, which the
+dovetailed schedule gives every length it runs, never cuts a halting class
+short, and no class needs a budget to be generated.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from operator import itemgetter, mul
 
 # outcome codes
@@ -123,39 +129,27 @@ def _sub_header(e: int):
     return (head << glen) | e, hlen + glen
 
 
-def _fitting(row: int, clen: int, wlen: int, budget: int) -> int:
-    """How many payloads w of a clen-bit codeword class run within budget.
-
-    The run reads clen bits, emits its output and halts.  The output length
-    never decreases with w, so the payloads that fit are exactly w < count.
-    """
-    room = budget - clen - 1  # output bits the budget leaves
-    if row == 2:  # zero run: 2**wlen + w - 1 output bits
-        return max(0, min(1 << wlen, room - (1 << wlen) + 2))
-    return 1 << wlen if _output(row, 0, wlen)[1] <= room else 0
-
-
-def generate_halts(length: int, budget: int, subs):
-    """Outcomes of every program (v, length) under budget, without decoding them.
+def generate_halts(length: int, subs):
+    """Outcomes of every program (v, length), without decoding them.
 
     A program of length L is either an extension of one codeword class
     c = header g(n) w (|w| = n-1), of one submachine prefix 111 g(e), or a
     proper prefix of some codeword (needs more input).  A class covers
-    2**(L-|c|) programs: they halt when |c| = L, halt early otherwise, and
-    are out of budget when the output does not fit.  A REVERSE row is one
-    more family of classes, whose header is 111 g(e); the subtree under a
-    LOOP row is out of budget, and one under an unregistered e is decided.
+    2**(L-|c|) programs: they halt when |c| = L and halt early otherwise.  A
+    REVERSE row is one more family of classes, whose header is 111 g(e); the
+    subtree under a LOOP row is out of budget, and one under an unregistered
+    e is decided.
 
     Returns (classes, nmi, early, oob, no_sub): classes lists the halting
-    classes (prefix, wlen, row, fit), in increasing order of their programs
+    classes (prefix, wlen, row), in increasing order of their programs
     within each row, and the next four are outcome counts.  A class's
-    programs are (prefix << wlen) | w for the payloads w < fit, and each
-    halts as decode_pair reports it, with output _output(row, w, wlen) and
-    class_steps(length, wlen, row, w) steps.  Requires budget > length, so
-    every read fits in the budget.
+    programs are (prefix << wlen) | w for every payload w < 2**wlen, and
+    each halts as decode_pair reports it under any budget of at least
+    2**length steps, with output _output(row, w, wlen) and
+    class_steps(length, wlen, row, w) <= 2**length steps (module docstring).
+    Under such a budget the counts are decode_pair's too: out of budget
+    comes only from LOOP subtrees.
     """
-    if budget <= length:
-        raise ValueError("budget must exceed the program length")
     rows = [(*_HEADER[branch], branch) for branch in range(3)]
     rows += [(*_sub_header(e), row) for e, row in sorted(subs.items()) if row == REVERSE]
 
@@ -171,13 +165,11 @@ def generate_halts(length: int, budget: int, subs):
             if clen > length:
                 break
             spare = length - clen
-            fit = _fitting(row, clen, wlen, budget)
             covered += 1 << (wlen + spare)
-            oob += ((1 << wlen) - fit) << spare
             if spare:
-                early += fit << spare
-            elif fit:
-                classes.append(((head << glen) | n, wlen, row, fit))
+                early += 1 << (wlen + spare)
+            else:
+                classes.append(((head << glen) | n, wlen, row))
             n += 1
 
     # 111 g(e): the 2**(b-1) indices e of bit length b each own a subtree
@@ -210,13 +202,13 @@ def class_steps(length: int, wlen: int, row: int, w: int) -> int:
     return length + _output(row, w, wlen)[1] + 1
 
 
-def class_strings(length: int, prefix: int, wlen: int, row: int, lo: int, hi: int):
-    """(programs, outputs) of the payloads lo <= w < hi of one halting class, as bit strings.
+def class_strings(length: int, prefix: int, wlen: int, row: int):
+    """(programs, outputs) of every payload of one halting class, as bit strings.
 
     Payloads come out in increasing order, spelled by C-level iterators; no
     program is decoded.
     """
-    payloads = list(islice(map("".join, product("01", repeat=wlen)), lo, hi))
+    payloads = list(map("".join, product("01", repeat=wlen)))
     programs = map(format(prefix, f"0{length - wlen}b").__add__, payloads)
     if row == 0:
         return programs, payloads
@@ -225,4 +217,4 @@ def class_strings(length: int, prefix: int, wlen: int, row: int, lo: int, hi: in
     if row == REVERSE:
         return programs, map(itemgetter(slice(None, None, -1)), payloads)
     base = (1 << wlen) - 1  # zero run: 2**wlen + w - 1 output bits
-    return programs, map("0".__mul__, range(base + lo, base + hi))
+    return programs, map("0".__mul__, range(base, base + (1 << wlen)))

@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="decide all programs up to a length cap")
     p.add_argument("--max-len", type=_positive, required=True)
     p.add_argument("--max-rounds", type=_positive, default=32)
-    p.add_argument("--workers", type=_positive, default=1)
+    p.add_argument("--workers", type=_positive, default=1, help="accepted and ignored")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 

@@ -1,19 +1,23 @@
 """Dovetailed enumeration of the machine's halting programs under a budget.
 
 The schedule is recompute-from-scratch dovetailing: round r runs every
-program of length <= min(r, max_len) for 2**r steps.  Because each run is a
-pure function, the whole schedule collapses to a single run per program
-with the final step cap; the round in which a program first halts is then
-max(|p|, ceil(log2 steps)).
+program of length <= min(r, max_len) for 2**r steps.  A halting program of
+length L takes at most 2**L steps (_purecore's module docstring), so it is
+found in round L, the first round that runs it, whole class and all:
+max_rounds only decides which lengths are scheduled, and every event's
+round is its program's length.
 
 There is one enumeration path.  The halting programs of each length come
 straight from the branch grammar (_purecore.generate_halts), registered
 submachine rows included, as codeword classes: runs of programs that share
 a prefix and differ in their payload.  The grammar also counts every other
 outcome; no program is run one by one.  A length's classes cover disjoint,
-increasing ranges of programs, so the canonical order sorts class runs,
-not events, and each run's events are spelled out by C-level iterators.
-This keeps enumeration stateless, replayable and deterministic.
+increasing ranges of programs, so the canonical (round, length, program)
+order sorts class runs, not events, and each run's events are spelled out
+by C-level iterators.  In that order an output's first event is also its
+shortest program, so the complexity table keeps first events and every
+compressible stream is a filter over the table.  This keeps enumeration
+stateless, replayable and deterministic.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ class Budget:
     """Enumeration limits: program length cap and round cap.
 
     Rounds beyond max_rounds never run, so a program of length L needs
-    max_rounds >= L to be scheduled at all, and a halting program needs
-    2**max_rounds steps to be discovered.
+    max_rounds >= L to be scheduled at all.  Once scheduled it is decided:
+    round L allows 2**L steps, and every halting program of length L halts
+    within them, so lengths past max_rounds are the only unscheduled ones.
     """
 
     max_len: int
@@ -50,13 +55,6 @@ class Budget:
             raise ValueError("max_len must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-
-    @property
-    def step_cap(self) -> int:
-        return 1 << self.max_rounds
-
-    def covers(self, other: "Budget") -> bool:
-        return self.max_len >= other.max_len and self.max_rounds >= other.max_rounds
 
 
 class HaltEvent(NamedTuple):
@@ -117,7 +115,6 @@ class EnumerationResult:
         self.machine_digest = machine_digest
         self.machine_identity = machine_identity
         self.counts = dict(counts)
-        self._table: dict[str, tuple[int, str]] | None = None
         self._streams: OrderedDict[Fraction, CompressibleStream] = OrderedDict()
         self._sum_tables: OrderedDict[tuple, object] = OrderedDict()
 
@@ -134,16 +131,18 @@ class EnumerationResult:
         """
         return self.undecided == 0
 
-    @property
+    @cached_property
     def complexity_table(self) -> dict[str, tuple[int, str]]:
-        if self._table is None:
-            table: dict[str, tuple[int, str]] = {}
-            for ev in self.events:
-                cur = table.get(ev.output)
-                if cur is None or len(ev.program) < cur[0]:
-                    table[ev.output] = (len(ev.program), ev.program)
-            self._table = table
-        return self._table
+        """(H_up(s), witness) of every output s, keyed in order of first event.
+
+        Events come in (length, program) order, so an output's first event
+        has its shortest program and wins.
+        """
+        table: dict[str, tuple[int, str]] = {}
+        for _, _, program, output, _ in self.events:
+            if output not in table:
+                table[output] = (len(program), program)
+        return table
 
     def complexity_upper(self, s: str) -> int | None:
         entry = self.complexity_table.get(s)
@@ -169,31 +168,14 @@ class EnumerationResult:
         return _cached(self._sum_tables, key, build)
 
     def _build_stream(self, t: Fraction) -> CompressibleStream:
-        seen: set[str] = set()
-        members: list[str] = []
-        for ev in self.events:
-            if len(ev.program) * t.denominator < t.numerator * len(ev.output):
-                if ev.output not in seen:
-                    seen.add(ev.output)
-                    members.append(ev.output)
-        return CompressibleStream(t, tuple(members))
+        # an output's first event is its shortest program, so it qualifies
+        # if any event does, and the table keeps first events in order
+        num, den = t.numerator, t.denominator
+        table = self.complexity_table.items()
+        return CompressibleStream(t, tuple(s for s, (h, _) in table if h * den < num * len(s)))
 
 
 _new_event = partial(tuple.__new__, HaltEvent)
-
-
-def _round_runs(length: int, first: int, slope: int, fit: int):
-    """(round, lo, hi) for each run of payloads lo <= w < hi discovered in one round.
-
-    Payload w of a length-bit class halts after first + slope * w steps,
-    slope 0 or 1, and is discovered in round max(length, ceil(log2 steps)).
-    """
-    lo = 0
-    while lo < fit:
-        rnd = max(length, (first + slope * lo - 1).bit_length())
-        hi = min(fit, (1 << rnd) - first + 1) if slope else fit
-        yield rnd, lo, hi
-        lo = hi
 
 
 def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> EnumerationResult:
@@ -213,9 +195,6 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
     """
     if budget.max_len > max_bits:
         raise ValueError(f"the counts for max_len {budget.max_len} take more than {max_bits} bits")
-    # no program of length <= max_len runs past 2**(max_len+1) steps, so a
-    # larger cap changes nothing
-    cap = 1 << min(budget.max_rounds, budget.max_len + 1)
     # round r only admits programs of length <= r: longer ones are never scheduled
     scheduled = min(budget.max_len, budget.max_rounds)
     counts = {
@@ -228,30 +207,29 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
     runs = []
     bits = 0
     for length in range(1, scheduled + 1):
-        classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, cap, machine.rows)
+        classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, machine.rows)
         counts["needs_more_input"] += nmi
         counts["halted_early"] += early
         counts["out_of_budget"] += oob
         counts["no_such_submachine"] += no_sub
-        for prefix, wlen, row, fit in classes:
+        for prefix, wlen, row in classes:
             first = _purecore.class_steps(length, wlen, row, 0)
             slope = _purecore.class_steps(length, wlen, row, 1) - first
+            size = 1 << wlen
             # an event's program and output bits are its steps less one
-            bits += fit * (first - 1) + slope * fit * (fit - 1) // 2
-            # steps <= cap, so the discovery round never passes max_rounds
-            for rnd, lo, hi in _round_runs(length, first, slope, fit):
-                steps = first + slope * lo
-                runs.append((rnd, length, (prefix << wlen) + lo, prefix, wlen, row, lo, hi, steps, slope))
+            bits += size * (first - 1) + slope * size * (size - 1) // 2
+            runs.append((length, prefix << wlen, prefix, wlen, row, first, slope))
         if bits > max_bits:
             raise ValueError(f"the events of length <= {length} take more than {max_bits} bits")
-    # runs cover disjoint program ranges, so their first three keys order them
+    # runs cover disjoint program ranges, so their first two keys order them
     runs.sort()
 
     events = []
-    for rnd, length, _, prefix, wlen, row, lo, hi, steps, slope in runs:
-        programs, outputs = _purecore.class_strings(length, prefix, wlen, row, lo, hi)
-        steps = range(steps, steps + hi - lo) if slope else repeat(steps)
-        events += map(_new_event, zip(count(len(events) + 1), repeat(rnd), programs, outputs, steps))
+    for length, _, prefix, wlen, row, first, slope in runs:
+        # found in round length, like every halting program of that length
+        programs, outputs = _purecore.class_strings(length, prefix, wlen, row)
+        steps = range(first, first + (1 << wlen)) if slope else repeat(first)
+        events += map(_new_event, zip(count(len(events) + 1), repeat(length), programs, outputs, steps))
     counts["halt"] = len(events)
 
     return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts)

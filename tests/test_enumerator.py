@@ -12,7 +12,6 @@ from omegalab.enumerator import (
     HaltEvent,
     _enumerate,
     _event_line,
-    _round_runs,
     load_log,
     write_log,
 )
@@ -66,7 +65,7 @@ def brute_force(machine, budget):
         if length > budget.max_rounds:
             counts["out_of_budget"] += 1 << length
             continue
-        for val, name, output, steps in _decode_length(machine, length, budget.step_cap):
+        for val, name, output, steps in _decode_length(machine, length, 1 << budget.max_rounds):
             rnd = max(length, (steps - 1).bit_length())
             if name != "halt":
                 counts[name] += 1
@@ -88,9 +87,6 @@ def test_budget_validation():
         Budget(0)
     with pytest.raises(ValueError):
         Budget(4, 0)
-    assert Budget(8).step_cap == 1 << 32
-    assert Budget(10, 20).covers(Budget(8, 16))
-    assert not Budget(10, 20).covers(Budget(12, 16))
 
 
 def test_l2_events(enum_at):
@@ -132,19 +128,19 @@ def test_grammar_matches_brute_force(enum_at, machine, max_len):
 
 
 def test_generate_halts_matches_decode_pair():
-    # budgets just above the length: the only ones where outputs overflow,
-    # since the dovetailed schedule always allows 2**length steps
+    # the schedule gives a length L at least 2**L steps: round L allows that
+    # many, and a larger max_rounds allows more
     subs = {1: _purecore.REVERSE, 5: _purecore.REVERSE, 2: _purecore.LOOP}
-    for length in range(1, 12):
-        for budget in range(length + 1, length + 40):
-            classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, budget, subs)
-            halts = []
-            for prefix, wlen, row, fit in classes:
-                assert fit > 0
-                for w in range(fit):
-                    out_val, out_len = _purecore._output(row, w, wlen)
-                    steps = _purecore.class_steps(length, wlen, row, w)
-                    halts.append(((prefix << wlen) | w, out_val, out_len, steps))
+    for length in range(1, 14):
+        classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, subs)
+        halts = []
+        for prefix, wlen, row in classes:
+            for w in range(1 << wlen):
+                out_val, out_len = _purecore._output(row, w, wlen)
+                steps = _purecore.class_steps(length, wlen, row, w)
+                halts.append(((prefix << wlen) | w, out_val, out_len, steps))
+        halts.sort()
+        for budget in (1 << length, 1 << (length + 1), 1 << 32):
             want = {kind: 0 for kind in _KIND_NAMES}
             want_halts = []
             for val in range(1 << length):
@@ -152,40 +148,25 @@ def test_generate_halts_matches_decode_pair():
                 want[kind] += 1
                 if kind == _purecore.HALT:
                     want_halts.append((val, out_val, out_len, steps))
-            assert sorted(halts) == want_halts, (length, budget)
+            assert halts == want_halts, (length, budget)
             assert (nmi, early, oob, no_sub) == (
                 want[_purecore.NEEDS_INPUT],
                 want[_purecore.HALTED_EARLY],
                 want[_purecore.OUT_OF_BUDGET],
                 want[_purecore.NO_SUCH_SUBMACHINE],
             ), (length, budget)
-    with pytest.raises(ValueError):
-        _purecore.generate_halts(4, 4, {})
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
 def test_halting_classes_are_found_in_their_length_round(registry):
-    """Every halting class runs within 2**length steps, so no class splits across rounds."""
+    """Every halting class runs within 2**length steps, so it is found in round length, whole."""
     rows = Machine(REGISTRIES[registry]).rows
-    caps = set()
-    for max_len in range(1, 17):
-        for max_rounds in [*range(1, max_len + 2), 32]:
-            cap = 1 << min(max_rounds, max_len + 1)
-            caps.update((length, cap) for length in range(1, min(max_len, max_rounds) + 1))
-    for length, cap in sorted(caps):
-        for prefix, wlen, row, fit in _purecore.generate_halts(length, cap, rows)[0]:
+    for length in range(1, 17):
+        for prefix, wlen, row in _purecore.generate_halts(length, rows)[0]:
             first = _purecore.class_steps(length, wlen, row, 0)
-            last = _purecore.class_steps(length, wlen, row, fit - 1)
-            assert length < first <= last <= 1 << length, (length, cap, prefix)
-            assert last - first in (0, fit - 1)  # steps grow by 0 or 1 per payload
-
-
-def test_round_runs_split_where_the_round_changes():
-    assert list(_round_runs(5, 6, 0, 4)) == [(5, 0, 4)]
-    assert list(_round_runs(5, 20, 1, 13)) == [(5, 0, 13)]  # steps 20..32
-    # steps 30..70: rounds 5 (30..32), 6 (33..64), 7 (65..70)
-    assert list(_round_runs(5, 30, 1, 41)) == [(5, 0, 3), (6, 3, 35), (7, 35, 41)]
-    assert list(_round_runs(3, 100, 0, 2)) == [(7, 0, 2)]
+            last = _purecore.class_steps(length, wlen, row, (1 << wlen) - 1)
+            assert length < first <= last <= 1 << length, (length, prefix)
+            assert last - first in (0, (1 << wlen) - 1)  # steps grow by 0 or 1 per payload
 
 
 @pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
@@ -274,16 +255,37 @@ def test_compressible_stream(enum14):
         enum14.compressible_stream(0)
 
 
-def test_stream_first_witness_order(enum14):
-    st = enum14.compressible_stream(1)
-    first = []
-    seen = set()
-    for e in enum14.events:
-        if e.output in seen or not len(e.program) < len(e.output):
-            continue
-        seen.add(e.output)
-        first.append(e.output)
-    assert list(st.members) == first
+def _stream_by_events(events, t):
+    """Outputs some event of which has |p| * den < num * |s|, in order of their first such event."""
+    seen, members = set(), []
+    for ev in events:
+        if len(ev.program) * t.denominator < t.numerator * len(ev.output) and ev.output not in seen:
+            seen.add(ev.output)
+            members.append(ev.output)
+    return members
+
+
+def _table_by_events(events):
+    """output -> (|p|, p) of its shortest program: a strictly shorter later event wins."""
+    table = {}
+    for ev in events:
+        cur = table.get(ev.output)
+        if cur is None or len(ev.program) < cur[0]:
+            table[ev.output] = (len(ev.program), ev.program)
+    return table
+
+
+def test_stream_first_witness_order():
+    """Table and streams read first events only; a walk over every event is the oracle."""
+    for registry in sorted(REGISTRIES):
+        for budget in (Budget(16), Budget(14, 11)):
+            res = enumerate_domain(Machine(REGISTRIES[registry]), budget)
+            table = res.complexity_table
+            assert len(table) < len(res.events)  # some output has several programs
+            assert list(table.items()) == list(_table_by_events(res.events).items()), registry
+            for t in map(Fraction, ("1", "1/2", "2/3", "5/6", "3/2")):
+                want = _stream_by_events(res.events, t)
+                assert list(res.compressible_stream(t).members) == want, (registry, budget, t)
 
 
 def test_log_roundtrip(tmp_path, enum14):
