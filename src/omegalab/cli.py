@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import census as census_mod
@@ -56,7 +57,7 @@ def cmd_enumerate(args) -> int:
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
         "machine": result.machine_digest,
-        "budget": {"max_len": budget.max_len, "max_rounds": budget.max_rounds},
+        "budget": asdict(budget),
         "log": args.out,
     }
     sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -88,7 +89,7 @@ def cmd_census(args) -> int:
         with open(args.members, "w") as fh:
             header = {
                 "machine": enum.machine_digest,
-                "budget": {"max_len": enum.budget.max_len, "max_rounds": enum.budget.max_rounds},
+                "budget": asdict(enum.budget),
                 "T": _frac_str(args.T),
             }
             fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -111,7 +112,7 @@ def cmd_extract(args) -> int:
         "exhaustive": enum.is_exhaustive(),
         "advisory": not enum.is_exhaustive(),
         "machine": enum.machine_digest,
-        "budget": {"max_len": enum.budget.max_len, "max_rounds": enum.budget.max_rounds},
+        "budget": asdict(enum.budget),
     }
     _emit(payload, args.out)
     return 0
@@ -125,7 +126,7 @@ def cmd_fixedpoint(args) -> int:
     grid = [args.T + span * Fraction(j, args.grid + 1) for j in range(1, args.grid + 1)]
     upper_ok = all(fixedpoint.upper_gap_sweep(enum, consts, x, args.prec) for x in grid)
     lower_ok = fixedpoint.lower_gap_sweep(enum, consts, args.t, args.prec)
-    floors = [fixedpoint.check_floor_identities(consts, n) for n in range(consts.n2, 65)]
+    floors = [fixedpoint.check_floor_identities(consts, n) for n in range(consts.n2, consts.n2 + 64)]
     ctx = fixedpoint.default_context(enum, args.T, args.t, prec=args.prec)
     trips = []
     for n in range(1, args.n_max + 1):
@@ -148,7 +149,7 @@ def cmd_fixedpoint(args) -> int:
         "roundtrip_all_ok": all(t["ok"] for t in trips),
         "stream_length": k_full,
         "machine": enum.machine_digest,
-        "budget": {"max_len": enum.budget.max_len, "max_rounds": enum.budget.max_rounds},
+        "budget": asdict(enum.budget),
     }
     _emit(payload, args.out)
     return 0
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # runtime failures -> exit 1, usage already exits 2
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -160,6 +160,11 @@ class DyadicInterval:
     def zero(cls) -> "DyadicInterval":
         return cls.point(Dyadic.zero())
 
+    @classmethod
+    def from_row(cls, row: tuple[int, int, int]) -> "DyadicInterval":
+        """[lo/2**e, hi/2**e] from the integers (lo, hi, e) of an enclosure or a partial-sum row."""
+        return cls(Dyadic(row[0], row[2]), Dyadic(row[1], row[2]))
+
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
@@ -188,7 +193,7 @@ def pow2_enclosure(num: int, den: int, prec: int) -> DyadicInterval:
     a square-root ladder over the exponent's binary digits.  Both round
     outward, so the enclosure is always sound.
     """
-    return SharedRootPow2(prec).enclosure(num, den)
+    return DyadicInterval.from_row(SharedRootPow2(prec)._endpoints(num, den))
 
 
 class SharedRootPow2:
@@ -207,13 +212,8 @@ class SharedRootPow2:
         self.prec = prec
         self._roots: dict[tuple[int, int], int] = {}
 
-    def enclosure(self, num: int, den: int) -> DyadicInterval:
-        """Enclosure of 2**(-num/den) with width <= 2**-self.prec."""
-        a, b, e = self._endpoints(num, den)
-        return DyadicInterval(Dyadic(a, e), Dyadic(b, e))
-
     def _endpoints(self, num: int, den: int) -> tuple[int, int, int]:
-        """Integers (a, b, e) with a/2**e <= 2**(-num/den) <= b/2**e: enclosure()'s ends.
+        """Integers (a, b, e) with a/2**e <= 2**(-num/den) <= b/2**e, width <= 2**-self.prec.
 
         den 1 is exact and den > 64 takes the ladder.  Otherwise, with
         r = num % den and q = num // den, root = floor(2**(prec + 1 - r/den)) is

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from io import BytesIO
@@ -259,7 +259,7 @@ def _log_lines(result: EnumerationResult):
     header = {
         "machine": result.machine_digest,
         "identity": result.machine_identity,
-        "budget": {"max_len": result.budget.max_len, "max_rounds": result.budget.max_rounds},
+        "budget": asdict(result.budget),
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
     }

@@ -3,7 +3,9 @@
 These are the effective procedures hiding inside the convergence proofs:
 given a true binary prefix of one of the sums, find how many enumeration
 terms push the partial sum past it (the cutoff), and use the per-length
-census to produce a string the budgeted machine cannot compress.
+census to produce a string the budgeted machine cannot compress.  Both
+sum families read measures.stream_sums tables: integer rows (lo, hi, e),
+kept on the result under the one key (threshold, x, prec).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .bits import pair_to_bits
 from .census import census
-from .dyadic import Dyadic, DyadicInterval
+from .dyadic import DyadicInterval
 from .enumerator import EnumerationResult
 from .measures import PartialSums, stream_sums
 
@@ -34,10 +36,7 @@ def _mode_sums(enum: EnumerationResult, T, mode: str, prec: int) -> PartialSums:
     if mode == "cs":
         return stream_sums(enum, t, prec)
     if mode == "csb":
-        return enum.partial_sums(
-            ("csb", t, prec),
-            lambda: PartialSums(enum.compressible_stream(t).lengths, 1, prec),
-        )
+        return stream_sums(enum, 1, prec, threshold=t)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -46,13 +45,14 @@ def find_cutoff(
 ) -> int:
     """Least k with (certified lower bound of) sum of first k terms > 0.alpha_prefix.
 
-    Comparing against the interval's lower end keeps the strict inequality
-    sound under outward rounding; lower ends never decrease along the table.
+    Rows' lower ends, compared as integers over 2**top, keep the strict
+    inequality sound under outward rounding, and never decrease along the table.
     """
-    sums = _mode_sums(enum, T, mode, prec).full()
-    alpha = Dyadic(int(alpha_prefix, 2) if alpha_prefix else 0, len(alpha_prefix))
-    k = bisect_right(sums, alpha, key=lambda iv: iv.lo)
-    if k == len(sums):
+    rows = _mode_sums(enum, T, mode, prec).full()
+    top = max(rows[-1][2], len(alpha_prefix))
+    alpha = (int(alpha_prefix, 2) if alpha_prefix else 0) << (top - len(alpha_prefix))
+    k = bisect_right(rows, alpha, key=lambda row: row[0] << (top - row[2]))
+    if k == len(rows):
         raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
     return k
 
@@ -99,9 +99,9 @@ def tail_after_cutoff(
 ) -> DyadicInterval:
     """Enclosure of the sum of terms strictly after position k, 0 <= k <= K.
 
-    The difference S_K - S_k of two table entries: exact on exact tables,
+    The difference S_K - S_k of two table rows: exact on exact tables,
     otherwise wider than the sum of the tail's own enclosures by twice the
     width of S_k.
     """
     sums = _mode_sums(enum, T, mode, prec)
-    return sums.full()[-1] - sums.at(k)
+    return DyadicInterval.from_row(sums.full()[-1]) - DyadicInterval.from_row(sums.row(k))

@@ -38,7 +38,7 @@ def ln2_enclosure(terms: int = 64) -> tuple[Fraction, Fraction]:
 
 def z_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} 2**(-|s_i|/x); exact when the exponents are integers."""
-    return stream_sums(enum, x, prec).at(k)
+    return DyadicInterval.from_row(stream_sums(enum, x, prec).row(k))
 
 
 def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
@@ -46,7 +46,7 @@ def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     lengths = enum.compressible_stream(1).lengths
     if not 0 <= k <= len(lengths):
         raise ValueError(f"k={k} out of range (stream length {len(lengths)})")
-    return _pow2_sum(lengths[:k], x, prec, weighted=True)
+    return DyadicInterval.from_row(_pow2_sum(lengths[:k], x, prec, weighted=True))
 
 
 def stream_length(enum: EnumerationResult) -> int:
@@ -134,16 +134,18 @@ def _scaled_lt(a: int, sa: int, b: int, sb: int) -> bool:
     return a << (sa - s) < b << (sb - s)
 
 
-def _upper_holds(zx: DyadicInterval, zT: DyadicInterval, gap: Fraction, c: int) -> bool:
-    """Z(x).hi - Z(T).lo < 2**c gap, with gap = x - T."""
-    d = zx.hi - zT.lo
-    return _scaled_lt(d.num * gap.denominator, 0, gap.numerator, c + d.exp)
+def _upper_holds(zx: tuple, zT: tuple, gap: Fraction, c: int) -> bool:
+    """Z(x).hi - Z(T).lo < 2**c gap on rows (lo, hi, e), with gap = x - T."""
+    e = max(zx[2], zT[2])
+    d = (zx[1] << (e - zx[2])) - (zT[0] << (e - zT[2]))
+    return _scaled_lt(d * gap.denominator, 0, gap.numerator, c + e)
 
 
-def _lower_holds(zt: DyadicInterval, zT: DyadicInterval, gap: Fraction, c: int) -> bool:
-    """Z(t).lo - Z(T).hi > 2**-c gap, with gap = t - T."""
-    d = zt.lo - zT.hi
-    return _scaled_lt(gap.numerator, d.exp, d.num * gap.denominator, c)
+def _lower_holds(zt: tuple, zT: tuple, gap: Fraction, c: int) -> bool:
+    """Z(t).lo - Z(T).hi > 2**-c gap on rows (lo, hi, e), with gap = t - T."""
+    e = max(zt[2], zT[2])
+    d = (zt[0] << (e - zt[2])) - (zT[1] << (e - zT[2]))
+    return _scaled_lt(gap.numerator, e, d * gap.denominator, c)
 
 
 def _upper_point(constants: GapConstants, x) -> Fraction:
@@ -163,9 +165,8 @@ def _lower_point(constants: GapConstants, t) -> Fraction:
 def check_upper_gap(enum, k: int, constants: GapConstants, x, prec: int = 96) -> bool:
     """Certified instance of: Z_k(x) - Z_k(T) < 2**c_upper (x - T)."""
     x = _upper_point(constants, x)
-    return _upper_holds(
-        z_k(enum, k, x, prec), z_k(enum, k, constants.T, prec), x - constants.T, constants.c_upper
-    )
+    zx, zT = stream_sums(enum, x, prec).row(k), stream_sums(enum, constants.T, prec).row(k)
+    return _upper_holds(zx, zT, x - constants.T, constants.c_upper)
 
 
 def check_lower_gap(enum, k: int, constants: GapConstants, t, prec: int = 96) -> bool:
@@ -173,9 +174,8 @@ def check_lower_gap(enum, k: int, constants: GapConstants, t, prec: int = 96) ->
     if k < 1:
         raise ValueError("lower gap needs k >= 1 (the first stream element)")
     t = _lower_point(constants, t)
-    return _lower_holds(
-        z_k(enum, k, t, prec), z_k(enum, k, constants.T, prec), t - constants.T, constants.c_lower
-    )
+    zt, zT = stream_sums(enum, t, prec).row(k), stream_sums(enum, constants.T, prec).row(k)
+    return _lower_holds(zt, zT, t - constants.T, constants.c_lower)
 
 
 def upper_gap_sweep(enum, constants: GapConstants, x, prec: int = 96) -> bool:
@@ -302,7 +302,8 @@ def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiCo
     # empty g certifies nothing.
     g_max = max(ctx.g, default=0)
     for f_l in ctx.f:
-        if z_k(enum, k0, f_l, ctx.prec).hi.as_fraction() < g_max:
+        _, hi, e = stream_sums(enum, f_l, ctx.prec).row(k0)
+        if hi * g_max.denominator < g_max.numerator << e:
             return _Frame(k0, expansion_prefix(f_l, n))
     raise ReconstructFailed("no certified (l0, m0) pair within the context tables")
 
@@ -362,12 +363,12 @@ def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext
     certifies the tail bound sum_{i>k0} 2**(-|s_i|/T) < 2**-n.
     """
     T = Fraction(T)
-    # cs_lower(enum), read from the exact x = 1 table that find_cutoff walks
-    cs_value = stream_sums(enum, 1, 64).full()[-1].lo.as_fraction()
-    if cs_value == 0:
+    # cs_lower(enum), the last row of the exact x = 1 table that find_cutoff walks
+    lo, _, e = stream_sums(enum, 1, 64).full()[-1]
+    if lo == 0:
         raise ReconstructFailed("compressible-string sum is zero at this budget")
     m = -((-T.numerator * n) // T.denominator)  # ceil(T n)
-    prefix = expansion_prefix(cs_value, m, ones=True)
+    prefix = expansion_prefix(Fraction(lo, 1 << e), m, ones=True)
     frame = _candidate_frame(enum, n, prefix, ctx)
     selector = _selector(frame, n, T, ctx.c)
     rebuilt = candidate_at(frame.t_n, ctx.c, int(selector, 2))

@@ -5,12 +5,15 @@ budget-truncated machine when the enumeration is exhaustive.  Sums whose
 terms are 2**(-k) for integer k are exact dyadics; rational temperatures
 introduce terms 2**(-num/den) which are enclosed by outward-rounded
 intervals of per-term width <= 2**-prec.  No floating point anywhere.
+Inside the package a sum stays an integer row (lo, hi, e), the enclosure
+[lo/2**e, hi/2**e]; DyadicInterval.from_row wraps one only where a public
+function returns it.  Tables of rows are kept under (threshold, x, prec).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -49,70 +52,67 @@ def _running_sums(pow2: SharedRootPow2, terms, x: Fraction):
 class PartialSums:
     """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a fixed length sequence.
 
-    Entries are grown only as far as a caller asks.
+    Rows (lo, hi, e) as _running_sums yields them, grown only as far as asked.
     """
 
-    __slots__ = ("lengths", "sums", "_running")
+    __slots__ = ("lengths", "rows", "_running")
 
     def __init__(self, lengths: tuple[int, ...], x: Fraction, prec: int):
         self.lengths = lengths
-        self.sums = [DyadicInterval.zero()]
+        self.rows = [(0, 0, 0)]
         self._running = _running_sums(SharedRootPow2(prec), zip(lengths, repeat(1)), Fraction(x))
 
-    def at(self, k: int) -> DyadicInterval:
-        """S_k for 0 <= k <= len(lengths)."""
+    def row(self, k: int) -> tuple[int, int, int]:
+        """Row k, for 0 <= k <= len(lengths)."""
         if not 0 <= k <= len(self.lengths):
             raise ValueError(f"k={k} out of range (stream length {len(self.lengths)})")
-        sums = self.sums
-        if k >= len(sums):
-            for lo, hi, e in islice(self._running, k + 1 - len(sums)):
-                sums.append(DyadicInterval(Dyadic(lo, e), Dyadic(hi, e)))
-        return sums[k]
+        rows = self.rows
+        if k >= len(rows):
+            rows.extend(islice(self._running, k + 1 - len(rows)))
+        return rows[k]
 
-    def full(self) -> list[DyadicInterval]:
-        """Every entry S_0 .. S_K, K the number of lengths."""
-        self.at(len(self.lengths))
-        return self.sums
+    def full(self) -> list[tuple[int, int, int]]:
+        """Every row S_0 .. S_K, K the number of lengths."""
+        self.row(len(self.lengths))
+        return self.rows
 
 
-def stream_sums(enum: EnumerationResult, x, prec: int) -> PartialSums:
-    """Partial-sum table over the compressible stream (threshold 1) at temperature x.
+def stream_sums(enum: EnumerationResult, x, prec: int, threshold=1) -> PartialSums:
+    """Partial-sum table over the compressible stream at threshold, at temperature x.
 
-    Kept on the result under (x, prec).  Only a caller that reads the table
-    at more than one k should ask for it; a whole sum is _pow2_sum's job.
+    Kept on the result under (threshold, x, prec), so cs and csb share it at
+    T = 1.  Ask only to read it at several k; a whole sum is _pow2_sum's job.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("temperature must be positive")
-    lengths = enum.compressible_stream(1).lengths
-    return enum.partial_sums((x, prec), lambda: PartialSums(lengths, x, prec))
+    x = _as_temperature(x)
+    lengths = enum.compressible_stream(threshold).lengths
+    return enum.partial_sums((Fraction(threshold), x, prec), lambda: PartialSums(lengths, x, prec))
 
 
-def _pow2_sum(lengths, x=1, prec: int = 64, weighted: bool = False) -> DyadicInterval:
-    """Enclosure of sum w 2**(-l/x) over lengths l, w = l if weighted else 1, in one pass.
+def _pow2_sum(lengths, x=1, prec: int = 64, weighted: bool = False) -> tuple[int, int, int]:
+    """Row (lo, hi, e) enclosing sum w 2**(-l/x) over lengths l, w = l if weighted else 1, in one pass.
 
     Equal lengths are grouped and their enclosure is added once, times the
     group's weight; this is _running_sums' last value, so it equals the
-    term-by-term sum (the last PartialSums entry) bit for bit.
+    term-by-term sum (the last PartialSums row) bit for bit.
     """
     counts = Counter(lengths)
     if weighted:
         for length in counts:
             counts[length] *= length
-    lo = hi = e = 0
-    for lo, hi, e in _running_sums(SharedRootPow2(prec), counts.items(), Fraction(x)):
+    row = (0, 0, 0)
+    for row in _running_sums(SharedRootPow2(prec), counts.items(), Fraction(x)):
         pass
-    return DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
+    return row
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|p| over discovered halting programs; exact dyadic."""
-    return _pow2_sum(len(ev.program) for ev in enum.events).lo
+    return DyadicInterval.from_row(_pow2_sum(len(ev.program) for ev in enum.events)).lo
 
 
 def cs_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|s| over compressible strings (H_up(s) < |s|); exact dyadic."""
-    return _pow2_sum(map(len, enum.compressible_stream(1).members)).lo
+    return DyadicInterval.from_row(_pow2_sum(map(len, enum.compressible_stream(1).members))).lo
 
 
 def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
@@ -121,7 +121,8 @@ def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
     Degenerates to the plain halting sum at T=1 and to exact dyadics
     whenever num(T) divides every |p| * den(T).
     """
-    return _pow2_sum((len(ev.program) for ev in enum.events), _as_temperature(T), prec)
+    lengths = (len(ev.program) for ev in enum.events)
+    return DyadicInterval.from_row(_pow2_sum(lengths, _as_temperature(T), prec))
 
 
 def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -> DyadicInterval:
@@ -134,7 +135,7 @@ def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return _pow2_sum(enum.compressible_stream(1).lengths, t, prec)
+    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).lengths, t, prec))
 
 
 def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
@@ -145,7 +146,7 @@ def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return _pow2_sum(map(len, enum.compressible_stream(t).members)).lo
+    return DyadicInterval.from_row(_pow2_sum(map(len, enum.compressible_stream(t).members))).lo
 
 
 def t_convergence_sum(enum: EnumerationResult, T) -> Dyadic:
@@ -178,10 +179,7 @@ class MeasureReport:
         d = {
             "quantity": self.quantity,
             "T": f"{self.T.numerator}/{self.T.denominator}" if self.T is not None else None,
-            "budget": {
-                "max_len": enum.budget.max_len,
-                "max_rounds": enum.budget.max_rounds,
-            },
+            "budget": asdict(enum.budget),
             "exhaustive": enum.is_exhaustive(),
             "lo": self.interval.lo.decimal(),
             "hi": self.interval.hi.decimal(),

@@ -1,8 +1,10 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+from omegalab import cli, fixedpoint
 from omegalab.cli import main
 from omegalab.machine import identity_digest
 
@@ -91,6 +93,35 @@ def test_fixedpoint(log14, capsys):
     assert d["constants"] == {"c_upper": 0, "c_lower": 21, "n0": 3, "n1": 1, "n2": 3}
     assert d["upper_gap_all_k_and_grid"] and d["lower_gap_all_k"]
     assert d["floor_identities_all_n"] and d["roundtrip_all_ok"]
+
+
+def test_fixedpoint_checks_64_floor_identities_from_n2(log14, capsys, monkeypatch):
+    # t = T + 2**-71 puts n2 at 72, past 64
+    checked = []
+    check = fixedpoint.check_floor_identities
+
+    def record(consts, n):
+        checked.append(n)
+        return check(consts, n)
+
+    monkeypatch.setattr(fixedpoint, "check_floor_identities", record)
+    t = Fraction(1, 2) + Fraction(1, 1 << 71)
+    capsys.readouterr()
+    assert main(["fixedpoint", "--T", "1/2", "--t", str(t), "--n-max", "4", "--log", str(log14)]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["constants"]["n2"] == 72
+    assert checked == list(range(72, 136))
+    assert d["floor_identities_all_n"]
+
+
+def test_empty_error_message_names_the_exception(monkeypatch, capsys):
+    def fail(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_measure", fail)
+    capsys.readouterr()
+    assert main(["measure", "--quantity", "omega", "--log", "x"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_usage_errors_exit_2(capsys):

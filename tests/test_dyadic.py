@@ -169,7 +169,7 @@ def test_shared_root_matches_pow2_enclosure(prec, terms):
     for num, den in terms:
         want = direct_root_enclosure(num, den, prec)
         assert pow2_enclosure(num, den, prec) == want
-        assert shared.enclosure(num, den) == want
+        assert DyadicInterval.from_row(shared._endpoints(num, den)) == want
 
 
 @pytest.mark.parametrize("prec", [1, 8, 64, 96, 200])
@@ -177,9 +177,10 @@ def test_shared_root_mixed_denominators(prec):
     # |s| / (4/5) = 5|s|/4 reduces to den 4, 2 or 1 inside one table
     shared = SharedRootPow2(prec)
     for length in range(1, 120):
-        assert shared.enclosure(5 * length, 4) == direct_root_enclosure(5 * length, 4, prec)
+        got = DyadicInterval.from_row(shared._endpoints(5 * length, 4))
+        assert got == direct_root_enclosure(5 * length, 4, prec)
     for num, den in ((3, 100), (7, 65), (12, 6)):  # ladder path and an integer exponent
-        assert shared.enclosure(num, den) == pow2_enclosure(num, den, prec)
+        assert DyadicInterval.from_row(shared._endpoints(num, den)) == pow2_enclosure(num, den, prec)
     with pytest.raises(ValueError):
         SharedRootPow2(0)
 
@@ -213,8 +214,8 @@ def test_endpoints_root_path_match_former_formula(data, prec, den, above):
     assert shared._endpoints(num, den) == want
     assert shared._endpoints(3 * num, 3 * den) == want  # unreduced, from the kept root
     lo, hi, e = want
-    assert shared.enclosure(num, den) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
-    assert pow2_enclosure(num, den, prec) == shared.enclosure(num, den)
+    assert DyadicInterval.from_row(want) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
+    assert pow2_enclosure(num, den, prec) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
 
 
 @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=300), precs)

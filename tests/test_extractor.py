@@ -6,6 +6,7 @@ from omegalab.bits import expansion_prefix, pair_to_bits
 from omegalab.dyadic import Dyadic, DyadicInterval, pow2_enclosure
 from omegalab.extractor import (
     NoCutoff,
+    _mode_sums,
     extract_incompressible,
     find_cutoff,
     tail_after_cutoff,
@@ -32,6 +33,32 @@ def test_cutoff_zero_prefix(enum14):
 def test_no_cutoff(enum14):
     with pytest.raises(NoCutoff):
         find_cutoff(enum14, "1" * 8)  # 0.11111111 is far above the sum
+
+
+@pytest.mark.parametrize("L", [14, 18])
+@pytest.mark.parametrize("mode, T", [("cs", Fraction(1)), ("csb", Fraction(2, 3))])
+def test_cutoff_on_prefixes_longer_than_the_table_exponent(enum_at, L, mode, T):
+    # Both tables are exact, and their last row's exponent e_K is the longest
+    # member, so e_K + 40 bits spell every S_k exactly and one unit in the
+    # last place below it.
+    enum = enum_at(L)
+    lengths = enum.compressible_stream(1 if mode == "cs" else T).lengths
+    bits = max(lengths) + 40
+    value = Fraction(0)
+    for k, length in enumerate(lengths, start=1):
+        value += Fraction(1, 1 << length)
+        exact = value.numerator << (bits - value.denominator.bit_length() + 1)
+        if k < len(lengths):
+            assert find_cutoff(enum, pair_to_bits(exact, bits), T, mode) == k + 1
+        else:
+            with pytest.raises(NoCutoff):
+                find_cutoff(enum, pair_to_bits(exact, bits), T, mode)
+        assert find_cutoff(enum, pair_to_bits(exact - 1, bits), T, mode) == k
+
+
+def test_cs_and_csb_share_one_table_at_threshold_1(enum14):
+    for prec in (8, 64):
+        assert _mode_sums(enum14, 1, "cs", prec) is _mode_sums(enum14, 1, "csb", prec)
 
 
 def test_extract_matches_bruteforce(enum14):

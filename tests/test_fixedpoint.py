@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from omegalab.bits import expansion_prefix
+from omegalab.dyadic import DyadicInterval
 from omegalab.enumerator import Budget, EnumerationResult, HaltEvent, enumerate_domain
 from omegalab.fixedpoint import (
     CompositeMachine,
@@ -233,7 +234,7 @@ def test_roundtrip_selected_n(enum14, ctx):
 @pytest.mark.parametrize("max_len, registry", [(14, {}), (18, {}), (14, {1: ReversePayloadDecoder()})])
 def test_roundtrip_reads_cs_lower_from_the_cutoff_table(max_len, registry):
     enum = enumerate_domain(Machine(registry), Budget(max_len))
-    last = stream_sums(enum, 1, 64).full()[-1]
+    last = DyadicInterval.from_row(stream_sums(enum, 1, 64).full()[-1])
     assert last.lo == last.hi == cs_lower(enum)
     ctx = default_context(enum, T, t)
     for n in (1, 5, 12):

@@ -2,7 +2,8 @@
 
 The oracle is the per-term loop the tables replaced: one pow2_enclosure per
 stream element, added interval by interval.  Dyadic sums are exact, so
-every table entry must equal the oracle's running sum bit for bit.
+every table row, made an interval by DyadicInterval.from_row, must equal
+the oracle's running sum bit for bit.
 """
 
 from fractions import Fraction
@@ -54,7 +55,8 @@ def oracle_prefix_sums(lengths, x, prec, weighted):
 def test_table_entries_match_per_term_loop(enum14, x, prec):
     lengths = enum14.compressible_stream(1).lengths
     table = stream_sums(enum14, x, prec)
-    assert [table.at(k) for k in range(len(lengths) + 1)] == oracle_prefix_sums(lengths, x, prec, False)
+    rows = [DyadicInterval.from_row(table.row(k)) for k in range(len(lengths) + 1)]
+    assert rows == oracle_prefix_sums(lengths, x, prec, False)
     want = oracle_prefix_sums(lengths, x, prec, True)
     for k in (0, 1, 2, len(lengths) // 2, len(lengths)):
         assert w_k(enum14, k, x, prec) == want[k]
@@ -66,19 +68,20 @@ def test_table_entries_match_per_term_loop(enum14, x, prec):
 def test_table_entries_match_per_term_loop_l18(enum18, x):
     lengths = enum18.compressible_stream(1).lengths
     assert len(lengths) == len(set(lengths)) == 499  # no two members share a length
-    assert stream_sums(enum18, x, 64).full() == oracle_prefix_sums(lengths, x, 64, False)
+    rows = [DyadicInterval.from_row(row) for row in stream_sums(enum18, x, 64).full()]
+    assert rows == oracle_prefix_sums(lengths, x, 64, False)
 
 
 def test_tables_grow_only_as_asked(enum14):
     x = Fraction(7, 11)
     table = stream_sums(enum14, x, 64)
-    assert z_k(enum14, 3, x) == table.at(3)
-    assert len(table.sums) == 4
+    assert z_k(enum14, 3, x) == DyadicInterval.from_row(table.row(3))
+    assert len(table.rows) == 4
     assert w_k(enum14, 2, x).hi > DyadicInterval.zero().hi
     with pytest.raises(ValueError):
-        table.at(len(table.lengths) + 1)
+        table.row(len(table.lengths) + 1)
     with pytest.raises(ValueError):
-        table.at(-1)
+        table.row(-1)
 
 
 def test_only_reread_tables_are_cached(machine):
@@ -89,14 +92,14 @@ def test_only_reread_tables_are_cached(machine):
     grid = [T + (t - T) * Fraction(j, 5) for j in range(1, 5)]
     assert all(upper_gap_sweep(res, consts, x) for x in grid)
     assert lower_gap_sweep(res, consts, t)
-    # checked before the context's lookups could evict anything
-    assert not [key for key in res._sum_tables if key[0] in grid or key[0] == t]
+    # keys are (threshold, x, prec); checked before the context's lookups could evict anything
+    assert not [key for key in res._sum_tables if key[1] in grid or key[1] == t]
     default_context(res, T, t)
     cst_lower(res, Fraction(5, 7))
     keys = list(res._sum_tables)
-    assert not [key for key in keys if key[0] in grid or key[0] in (t, Fraction(5, 7))]
+    assert not [key for key in keys if key[1] in grid or key[1] in (t, Fraction(5, 7))]
     # T's own table is read by both sweeps; the context's one bound is a one-pass sum
-    assert [key for key in keys if key[0] == T] == [(T, 96)]
+    assert [key for key in keys if key[1] == T] == [(1, T, 96)]
 
 
 def test_streams_built_once(enum14):
@@ -115,7 +118,7 @@ def test_table_cache_is_bounded(machine):
     # least recently used goes first: the last lookups are still cached
     last = stream_sums(res, xs[-1], 64)
     assert stream_sums(res, xs[-1], 64) is last
-    assert (xs[0], 64) not in res._sum_tables
+    assert (1, xs[0], 64) not in res._sum_tables
 
 
 def test_stream_membership(enum14):
@@ -144,12 +147,13 @@ def test_stream_membership(enum14):
 def test_whole_sum_matches_per_term_sum(x, lengths, prec, weighted):
     # small lengths repeat often, so grouped terms are exercised; long ones put
     # exponents past prec in the same sum as exponents below it
-    assert _pow2_sum(lengths, x, prec, weighted) == oracle_prefix_sums(lengths, x, prec, weighted)[-1]
+    got = DyadicInterval.from_row(_pow2_sum(lengths, x, prec, weighted))
+    assert got == oracle_prefix_sums(lengths, x, prec, weighted)[-1]
 
 
 def test_whole_sum_edges(enum14):
     for x in (Fraction(1), Fraction(2, 3), Fraction(65, 67)):
-        assert _pow2_sum([], x, 8) == _pow2_sum([], x, 8, weighted=True) == DyadicInterval.zero()
+        assert _pow2_sum([], x, 8) == _pow2_sum([], x, 8, weighted=True) == (0, 0, 0)
     # prec < 1 raises on the exact path too, where no root is ever taken
     with pytest.raises(ValueError):
         _pow2_sum([3, 6], Fraction(1, 3), 0)
