@@ -18,12 +18,15 @@ Step accounting (shared contract): one step per input bit read, one step per
 output bit emitted, plus one final halt transition.
 
 This module is the only place that knows the table, submachine rows
-included, and reads it two ways: decode_pair runs one program, and
-generate_halts reads the table as a grammar, emitting the halting codeword
-classes of one length and counting every other outcome per class.  A
-halting class (prefix, wlen, row) stands for the programs prefix w, one per
-payload w of wlen bits; class_strings spells its payloads out as program
-and output strings, and class_steps gives their step counts.
+included, and the only one that names a program's outcome: HALT,
+NEEDS_INPUT, HALTED_EARLY, OUT_OF_BUDGET and NO_SUCH_SUBMACHINE are the
+strings logs count under and OutcomeKind takes its values from.  It reads
+the table two ways: decode_pair runs one program, and generate_halts reads
+the table as a grammar, emitting the halting codeword classes of one length
+in program order and counting every outcome.  A halting class
+(prefix, wlen, row) stands for the programs prefix w, one per payload w of
+wlen bits; class_strings spells its payloads out as program and output
+strings, and class_steps gives their step counts.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -38,14 +41,14 @@ from __future__ import annotations
 from itertools import product, repeat
 from operator import itemgetter, mul
 
-# outcome codes
-HALT = 0
-NEEDS_INPUT = 1
-HALTED_EARLY = 2
-OUT_OF_BUDGET = 3
-NO_SUCH_SUBMACHINE = 4
+# outcomes, named as logs and OutcomeKind name them
+HALT = "halt"
+NEEDS_INPUT = "needs_more_input"
+HALTED_EARLY = "halted_early"
+OUT_OF_BUDGET = "out_of_budget"
+NO_SUCH_SUBMACHINE = "no_such_submachine"
 
-# submachine rows; distinct from every outcome code
+# submachine rows
 REVERSE = 5
 LOOP = 6
 
@@ -140,21 +143,25 @@ def generate_halts(length: int, subs):
     subtree under a LOOP row is out of budget, and one under an unregistered
     e is decided.
 
-    Returns (classes, nmi, early, oob, no_sub): classes lists the halting
-    classes (prefix, wlen, row), in increasing order of their programs
-    within each row, and the next four are outcome counts.  A class's
-    programs are (prefix << wlen) | w for every payload w < 2**wlen, and
-    each halts as decode_pair reports it under any budget of at least
-    2**length steps, with output _output(row, w, wlen) and
-    class_steps(length, wlen, row, w) <= 2**length steps (module docstring).
-    Under such a budget the counts are decode_pair's too: out of budget
-    comes only from LOOP subtrees.
+    Returns (classes, counts).  classes lists the halting classes
+    (prefix, wlen, row) in increasing order of their programs: a row's
+    codeword length |header| + |g(n)| + n - 1 grows strictly with n, so it
+    has at most one class of length L, and the headers 0, 10, 110 and
+    111 g(e) are prefix-free, so taking rows in the order of their header
+    bits orders the classes.  A class's programs are (prefix << wlen) | w
+    for every payload w < 2**wlen, and each halts as decode_pair reports it
+    under any budget of at least 2**length steps, with output
+    _output(row, w, wlen) and class_steps(length, wlen, row, w) <= 2**length
+    steps (module docstring).  counts maps each of the five outcomes to its
+    number of programs, as decode_pair tallies them under such a budget:
+    out of budget comes only from LOOP subtrees.
     """
     rows = [(*_HEADER[branch], branch) for branch in range(3)]
-    rows += [(*_sub_header(e), row) for e, row in sorted(subs.items()) if row == REVERSE]
+    rows += [(*_sub_header(e), row) for e, row in subs.items() if row == REVERSE]
+    rows.sort(key=lambda r: format(r[0], f"0{r[1]}b"))
 
     classes = []
-    early = oob = 0
+    counts = dict.fromkeys((HALT, NEEDS_INPUT, HALTED_EARLY, OUT_OF_BUDGET, NO_SUCH_SUBMACHINE), 0)
     covered = 0  # programs below some codeword or submachine prefix
     for head, hlen, row in rows:
         n = 1
@@ -167,8 +174,9 @@ def generate_halts(length: int, subs):
             spare = length - clen
             covered += 1 << (wlen + spare)
             if spare:
-                early += 1 << (wlen + spare)
+                counts[HALTED_EARLY] += 1 << (wlen + spare)
             else:
+                counts[HALT] += 1 << wlen
                 classes.append(((head << glen) | n, wlen, row))
             n += 1
 
@@ -176,21 +184,19 @@ def generate_halts(length: int, subs):
     # of 2**spare programs; a LOOP row runs out of budget on all of it, and
     # an unregistered index never halts.  REVERSE subtrees are counted above.
     hlen = _HEADER[3][1]
-    no_sub = 0
     b = 1
     while (spare := length - hlen - (2 * b - 1)) >= 0:
-        no_sub += 1 << (b - 1 + spare)
+        counts[NO_SUCH_SUBMACHINE] += 1 << (b - 1 + spare)
         b += 1
     for e, row in subs.items():
         spare = length - _sub_header(e)[1]
         if spare >= 0:
-            no_sub -= 1 << spare
+            counts[NO_SUCH_SUBMACHINE] -= 1 << spare
             if row == LOOP:
-                oob += 1 << spare
+                counts[OUT_OF_BUDGET] += 1 << spare
                 covered += 1 << spare
-    covered += no_sub
-
-    return classes, (1 << length) - covered, early, oob, no_sub
+    counts[NEEDS_INPUT] = (1 << length) - covered - counts[NO_SUCH_SUBMACHINE]
+    return classes, counts
 
 
 def class_steps(length: int, wlen: int, row: int, w: int) -> int:

@@ -34,14 +34,10 @@ class CensusRow:
 
 
 def census(enum: EnumerationResult, n: int, T=1) -> CensusRow:
-    """Length-n compressible strings under threshold T (H_up(s) < T*n)."""
+    """Length-n compressible strings under threshold T (H_up(s) < T*n): row n of census_profile."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    t = Fraction(T)
-    members = frozenset(
-        s for s in enum.compressible_stream(t).members if len(s) == n
-    )
-    return CensusRow(n, members, len(members), enum.complexity_upper(nat_to_string(n)))
+    return census_profile(enum, T, n)[n]
 
 
 def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> list[CensusRow]:

@@ -10,21 +10,22 @@ round is its program's length.
 There is one enumeration path.  The halting programs of each length come
 straight from the branch grammar (_purecore.generate_halts), registered
 submachine rows included, as codeword classes: runs of programs that share
-a prefix and differ in their payload.  The grammar also counts every other
-outcome; no program is run one by one.  A length's classes cover disjoint,
-increasing ranges of programs, so the canonical (round, length, program)
-order sorts class runs, not events, and each run's events are spelled out
-by C-level iterators.  In that order an output's first event is also its
-shortest program, so the complexity table keeps first events and every
-compressible stream is a filter over the table.  This keeps enumeration
-stateless, replayable and deterministic.
+a prefix and differ in their payload.  The grammar also counts every
+outcome; no program is run one by one.  It generates a length's classes in
+program order, so taking lengths in turn gives the canonical
+(round, length, program) order with nothing sorted, and each run's events
+are spelled out by C-level iterators.  In that order an output's first
+event is also its shortest program, so the complexity table keeps first
+events and is the one oracle of compressibility: every compressible
+stream, census row and extracted string is read off it.  This keeps
+enumeration stateless, replayable and deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -72,19 +73,12 @@ class CompressibleStream:
     threshold: Fraction
     members: tuple[str, ...]
 
-    # Both are built once, on first use: a result keeps its streams, and
-    # most of them never feed a partial-sum table or a membership test.
+    # Built once, on first use: a result keeps its streams, and most of
+    # them never feed a partial-sum table.
     @cached_property
     def lengths(self) -> tuple[int, ...]:
         """|s_i| for every member, in stream order."""
         return tuple(map(len, self.members))
-
-    @cached_property
-    def _member_set(self) -> frozenset[str]:
-        return frozenset(self.members)
-
-    def __contains__(self, s: str) -> bool:
-        return s in self._member_set
 
     def __len__(self) -> int:
         return len(self.members)
@@ -120,7 +114,7 @@ class EnumerationResult:
 
     @property
     def undecided(self) -> int:
-        return self.counts.get("out_of_budget", 0)
+        return self.counts.get(_purecore.OUT_OF_BUDGET, 0)
 
     def is_exhaustive(self) -> bool:
         """True iff every program of length <= max_len was decided.
@@ -177,14 +171,23 @@ class EnumerationResult:
 
 _new_event = partial(tuple.__new__, HaltEvent)
 
+# Bytes of physical memory: room for at most this many event bits as str characters.
+_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> EnumerationResult:
     """Decide every program of length <= max_len under the budget's schedule.
 
     `workers` is accepted for compatibility and ignored: enumeration is a
-    single pass in one process, and events are sorted in canonical order.
+    single pass in one process, and events come in canonical order.  An
+    event's program and output bits take a byte each as str characters, so
+    events of more bits than the machine has bytes of physical memory are
+    refused with ValueError before any is spelled.
     """
-    return _enumerate(machine, budget)
+    try:
+        return _enumerate(machine, budget, _MEMORY)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, a byte each: more than the {_MEMORY} bytes of memory") from None
 
 
 def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> EnumerationResult:
@@ -197,40 +200,28 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
         raise ValueError(f"the counts for max_len {budget.max_len} take more than {max_bits} bits")
     # round r only admits programs of length <= r: longer ones are never scheduled
     scheduled = min(budget.max_len, budget.max_rounds)
-    counts = {
-        "halt": 0,
-        "needs_more_input": 0,
-        "halted_early": 0,
-        "no_such_submachine": 0,
-        "out_of_budget": (2 << budget.max_len) - (2 << scheduled),
-    }
+    counts = Counter({_purecore.OUT_OF_BUDGET: (2 << budget.max_len) - (2 << scheduled)})
     runs = []
     bits = 0
     for length in range(1, scheduled + 1):
-        classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, machine.rows)
-        counts["needs_more_input"] += nmi
-        counts["halted_early"] += early
-        counts["out_of_budget"] += oob
-        counts["no_such_submachine"] += no_sub
+        classes, length_counts = _purecore.generate_halts(length, machine.rows)
+        counts.update(length_counts)
         for prefix, wlen, row in classes:
             first = _purecore.class_steps(length, wlen, row, 0)
             slope = _purecore.class_steps(length, wlen, row, 1) - first
             size = 1 << wlen
             # an event's program and output bits are its steps less one
             bits += size * (first - 1) + slope * size * (size - 1) // 2
-            runs.append((length, prefix << wlen, prefix, wlen, row, first, slope))
+            runs.append((length, prefix, wlen, row, first, slope))
         if bits > max_bits:
             raise ValueError(f"the events of length <= {length} take more than {max_bits} bits")
-    # runs cover disjoint program ranges, so their first two keys order them
-    runs.sort()
 
     events = []
-    for length, _, prefix, wlen, row, first, slope in runs:
+    for length, prefix, wlen, row, first, slope in runs:
         # found in round length, like every halting program of that length
         programs, outputs = _purecore.class_strings(length, prefix, wlen, row)
         steps = range(first, first + (1 << wlen)) if slope else repeat(first)
         events += map(_new_event, zip(count(len(events) + 1), repeat(length), programs, outputs, steps))
-    counts["halt"] = len(events)
 
     return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts)
 
@@ -244,10 +235,6 @@ _event_fields = itemgetter(3, 2, 1, 0, 4)  # output, program, round, seq, steps
 # against as many bytes of the file: few enough that a block of the
 # longest outputs stays small next to the events.
 _COMPARE_BLOCK = 256
-
-
-def _event_line(ev: HaltEvent) -> str:
-    return _EVENT_LINE % _event_fields(ev)
 
 
 def _log_lines(result: EnumerationResult):
@@ -288,7 +275,8 @@ def load_log(path) -> EnumerationResult:
     max_len and max_rounds the budget; the log is replayed, by enumerating
     that machine under that budget, and refused at the first line that
     differs from the replay's log.  The replay gives up once its log would
-    outgrow the file, so a header that claims a huge budget fails fast.
+    outgrow the file or memory, so a header that claims a huge budget fails
+    fast, even in a sparse file.
     """
     with open(path, "rb") as fh:
         n = 1
@@ -297,7 +285,7 @@ def load_log(path) -> EnumerationResult:
             machine = Machine.from_identity(header["identity"])
             limits = header["budget"]
             budget = Budget(int(limits["max_len"]), int(limits["max_rounds"]))
-            result = _enumerate(machine, budget, 8 * os.fstat(fh.fileno()).st_size)
+            result = _enumerate(machine, budget, min(8 * os.fstat(fh.fileno()).st_size, _MEMORY))
             fh.seek(0)
             lines = _log_lines(result)
             while want := "".join(islice(lines, _COMPARE_BLOCK)).encode():

@@ -2,8 +2,8 @@
 
 These are the effective procedures hiding inside the convergence proofs:
 given a true binary prefix of one of the sums, find how many enumeration
-terms push the partial sum past it (the cutoff), and use the per-length
-census to produce a string the budgeted machine cannot compress.  Both
+terms push the partial sum past it (the cutoff), and use the first-witness
+table to produce a string the budgeted machine cannot compress.  Both
 sum families read measures.stream_sums tables: integer rows (lo, hi, e),
 kept on the result under the one key (threshold, x, prec).
 """
@@ -14,7 +14,6 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .bits import pair_to_bits
-from .census import census
 from .dyadic import DyadicInterval
 from .enumerator import EnumerationResult
 from .measures import PartialSums, stream_sums
@@ -60,29 +59,29 @@ def find_cutoff(
 def extract_incompressible(
     enum: EnumerationResult, n: int, T=1, mode: str = "cs"
 ) -> str:
-    """Lexicographically least length-m string outside the census set.
+    """Lexicographically least length-m string that verify_incompressible accepts.
 
-    m is floor(T*n) in cs mode and n in csb mode.  Existence is guaranteed:
-    the census set at any length m has fewer than 2**m members.
+    m is floor(T*n) at threshold 1 in cs mode, and n at threshold T in csb
+    mode: the least length-m string outside that threshold's census row.
+    Existence is guaranteed: fewer than 2**m strings of length m have a
+    program shorter than m.
     """
     t = Fraction(T)
     if not 0 < t <= 1:
         raise ValueError("extraction needs 0 < T <= 1")
     if mode == "cs":
-        m = (t.numerator * n) // t.denominator
-        row = census(enum, m, 1)
+        m, threshold = (t.numerator * n) // t.denominator, 1
     elif mode == "csb":
-        m = n
-        row = census(enum, m, t)
+        m, threshold = n, t
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if m < 1:
         raise ValueError("target length floor(T*n) (or n) must be >= 1")
     for val in range(1 << m):
         s = pair_to_bits(val, m)
-        if s not in row.members:
+        if verify_incompressible(enum, s, threshold):
             return s
-    raise AssertionError("census covered all strings of its length")  # unreachable
+    raise AssertionError("every string of its length compresses")  # unreachable
 
 
 def verify_incompressible(enum: EnumerationResult, s: str, T=1) -> bool:

@@ -378,7 +378,7 @@ def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext
 
 @dataclass(frozen=True)
 class CompositeOutcome:
-    status: str  # halt | needs_more_input | halted_early | out_of_budget | undefined
+    status: str  # an OutcomeKind value, or "undefined"
     output: str | None = None
     consumed: int = 0
 
@@ -411,17 +411,17 @@ class CompositeMachine:
         pos = first.consumed + second.consumed
         v = bits[pos : pos + m]
         if len(v) < m:
-            return CompositeOutcome("needs_more_input", consumed=len(bits))
+            return CompositeOutcome(OutcomeKind.NEEDS_MORE_INPUT.value, consumed=len(bits))
         selector = bits[pos + m : pos + m + self.ctx.c + 2]
         if len(selector) < self.ctx.c + 2:
-            return CompositeOutcome("needs_more_input", consumed=len(bits))
+            return CompositeOutcome(OutcomeKind.NEEDS_MORE_INPUT.value, consumed=len(bits))
         consumed = pos + m + self.ctx.c + 2
         if n > step_budget:
             # emitting the n-bit result costs n steps (shared step contract)
-            return CompositeOutcome("out_of_budget", consumed=consumed)
+            return CompositeOutcome(OutcomeKind.OUT_OF_BUDGET.value, consumed=consumed)
         try:
             output = phi_reconstruct(self.enum, n, v, selector, self.ctx)
         except ReconstructFailed:
             return CompositeOutcome("undefined", consumed=consumed)
-        status = "halt" if consumed == len(bits) else "halted_early"
-        return CompositeOutcome(status, output, consumed)
+        kind = OutcomeKind.HALT if consumed == len(bits) else OutcomeKind.HALTED_EARLY
+        return CompositeOutcome(kind.value, output, consumed)

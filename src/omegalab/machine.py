@@ -35,14 +35,16 @@ BRANCH_TABLE = (
 
 
 class OutcomeKind(enum.Enum):
-    HALT = "halt"
-    NEEDS_MORE_INPUT = "needs_more_input"
-    HALTED_EARLY = "halted_early"
-    OUT_OF_BUDGET = "out_of_budget"
+    """A program's outcome; its value is the name _purecore gives it."""
+
+    HALT = _purecore.HALT
+    NEEDS_MORE_INPUT = _purecore.NEEDS_INPUT
+    HALTED_EARLY = _purecore.HALTED_EARLY
+    OUT_OF_BUDGET = _purecore.OUT_OF_BUDGET
     # the decoder reached the submachine branch with an unregistered index;
     # such programs provably never halt on this machine, so this is a
     # decided outcome, unlike OUT_OF_BUDGET
-    NO_SUCH_SUBMACHINE = "no_such_submachine"
+    NO_SUCH_SUBMACHINE = _purecore.NO_SUCH_SUBMACHINE
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,6 @@ class MachineOutcome:
 
 class RegistryError(ValueError):
     pass
-
-
-_KINDS = {
-    _purecore.HALT: OutcomeKind.HALT,
-    _purecore.NEEDS_INPUT: OutcomeKind.NEEDS_MORE_INPUT,
-    _purecore.HALTED_EARLY: OutcomeKind.HALTED_EARLY,
-    _purecore.OUT_OF_BUDGET: OutcomeKind.OUT_OF_BUDGET,
-    _purecore.NO_SUCH_SUBMACHINE: OutcomeKind.NO_SUCH_SUBMACHINE,
-}
 
 
 class SubmachineDecoder:
@@ -143,16 +136,13 @@ class Machine:
         if step_budget < 1:
             raise ValueError("step_budget must be >= 1")
         val, length = bits_to_pair(program)
-        return self.run_pair(val, length, step_budget)
-
-    def run_pair(self, val: int, length: int, step_budget: int) -> MachineOutcome:
-        code, out_val, out_len, consumed, steps = _purecore.decode_pair(
+        kind, out_val, out_len, consumed, steps = _purecore.decode_pair(
             val, length, step_budget, self.rows
         )
         output = None
-        if code in (_purecore.HALT, _purecore.HALTED_EARLY):
+        if kind in (_purecore.HALT, _purecore.HALTED_EARLY):
             output = pair_to_bits(out_val, out_len)
-        return MachineOutcome(_KINDS[code], output, consumed, steps)
+        return MachineOutcome(OutcomeKind(kind), output, consumed, steps)
 
     def decode_prefix(self, bits: str, step_budget: int) -> MachineOutcome:
         """Self-delimiting read: accept the unique halting prefix, if any.

@@ -44,6 +44,14 @@ def test_thresholded_census(enum14):
     assert row.members == frozenset({"0" * 25})
 
 
+@pytest.mark.parametrize("T", [Fraction(1, 2), Fraction(2, 3), Fraction(1)])
+def test_census_is_a_row_of_the_profile(enum14, T):
+    longest = max(map(len, enum14.compressible_stream(T).members))
+    rows = census_profile(enum14, T, longest + 3)
+    assert rows[: longest + 1] == census_profile(enum14, T)
+    assert [census(enum14, n, T) for n in range(longest + 4)] == rows
+
+
 def test_census_rejects_negative(enum14):
     with pytest.raises(ValueError):
         census(enum14, -1)

@@ -170,6 +170,17 @@ def test_unwritable_header_leaves_no_log(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_enumeration_past_memory_exits_1_and_leaves_no_log(tmp_path, capsys):
+    # the events of length 32 alone hold 2.2e12 program and output bits, a byte each
+    out = tmp_path / "l40.jsonl"
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["enumerate", "--max-len", "40", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 10
+    assert "bytes of memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 
 def _drop_last_event(header, events):
     return events[:-1]

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,13 @@ from omegalab.bits import pair_to_bits
 from omegalab.enumerator import (
     _COMPARE_BLOCK,
     HaltEvent,
+    _EVENT_LINE,
     _enumerate,
-    _event_line,
+    _event_fields,
     load_log,
     write_log,
 )
-from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
+from omegalab.machine import LoopForeverDecoder, OutcomeKind, ReversePayloadDecoder
 from reference import ref_halting_set, ref_steps
 
 REGISTRIES = {
@@ -23,14 +25,8 @@ REGISTRIES = {
     "reverse1": {1: ReversePayloadDecoder()},
     "reverse1-loop2": {1: ReversePayloadDecoder(), 2: LoopForeverDecoder()},
     "reverse5-loop3": {5: ReversePayloadDecoder(), 3: LoopForeverDecoder()},
-}
-
-_KIND_NAMES = {
-    _purecore.HALT: "halt",
-    _purecore.NEEDS_INPUT: "needs_more_input",
-    _purecore.HALTED_EARLY: "halted_early",
-    _purecore.OUT_OF_BUDGET: "out_of_budget",
-    _purecore.NO_SUCH_SUBMACHINE: "no_such_submachine",
+    # g(1) = 1 sorts after g(2) = 010: index order would misplace e = 1's rows
+    "reverse1-reverse2": {1: ReversePayloadDecoder(), 2: ReversePayloadDecoder()},
 }
 _decoded = {}
 
@@ -45,7 +41,7 @@ def _decode_length(machine, length, cap):
         rows = []
         for val in range(1 << length):
             kind, out_val, out_len, _, steps = _purecore.decode_pair(val, length, cap, machine.rows)
-            rows.append((val, _KIND_NAMES[kind], pair_to_bits(out_val, out_len), steps))
+            rows.append((val, kind, pair_to_bits(out_val, out_len), steps))
         _decoded[key] = rows
     return _decoded[key]
 
@@ -107,6 +103,13 @@ def test_rounds_and_order(enum14):
         assert (1 << e.round) >= e.steps  # halts within its discovery round
 
 
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_events_come_in_canonical_order(registry):
+    res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(16))
+    keys = [(e.round, len(e.program), e.program) for e in res.events]
+    assert keys == sorted(keys)
+
+
 @pytest.mark.parametrize("max_len", [12, 16])
 def test_matches_reference_halting_set(max_len):
     for registry in sorted(REGISTRIES):
@@ -129,19 +132,20 @@ def test_grammar_matches_brute_force(enum_at, machine, max_len):
 
 def test_generate_halts_matches_decode_pair():
     # the schedule gives a length L at least 2**L steps: round L allows that
-    # many, and a larger max_rounds allows more
+    # many, and a larger max_rounds allows more; g(5) = 00101 sorts before
+    # g(1) = 1, so the halts come in program order only if e = 5 comes first
     subs = {1: _purecore.REVERSE, 5: _purecore.REVERSE, 2: _purecore.LOOP}
     for length in range(1, 14):
-        classes, nmi, early, oob, no_sub = _purecore.generate_halts(length, subs)
+        classes, counts = _purecore.generate_halts(length, subs)
+        assert set(counts) == {kind.value for kind in OutcomeKind}
         halts = []
         for prefix, wlen, row in classes:
             for w in range(1 << wlen):
                 out_val, out_len = _purecore._output(row, w, wlen)
                 steps = _purecore.class_steps(length, wlen, row, w)
                 halts.append(((prefix << wlen) | w, out_val, out_len, steps))
-        halts.sort()
         for budget in (1 << length, 1 << (length + 1), 1 << 32):
-            want = {kind: 0 for kind in _KIND_NAMES}
+            want = dict.fromkeys(counts, 0)
             want_halts = []
             for val in range(1 << length):
                 kind, out_val, out_len, _, steps = _purecore.decode_pair(val, length, budget, subs)
@@ -149,12 +153,17 @@ def test_generate_halts_matches_decode_pair():
                 if kind == _purecore.HALT:
                     want_halts.append((val, out_val, out_len, steps))
             assert halts == want_halts, (length, budget)
-            assert (nmi, early, oob, no_sub) == (
-                want[_purecore.NEEDS_INPUT],
-                want[_purecore.HALTED_EARLY],
-                want[_purecore.OUT_OF_BUDGET],
-                want[_purecore.NO_SUCH_SUBMACHINE],
-            ), (length, budget)
+            assert counts == want, (length, budget)
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_generate_halts_emits_classes_in_program_order(registry):
+    """A length's classes cover disjoint program ranges, each past the one before."""
+    rows = Machine(REGISTRIES[registry]).rows
+    for length in range(1, 17):
+        classes = _purecore.generate_halts(length, rows)[0]
+        ranges = [(prefix << wlen, (prefix + 1) << wlen) for prefix, wlen, _ in classes]
+        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:])), length
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
@@ -190,6 +199,12 @@ def test_enumerate_gives_up_at_the_first_length_past_max_bits(registry, budget):
                 _enumerate(machine, budget, max_bits)
     with pytest.raises(ValueError, match=f"the counts for max_len {budget.max_len} take"):
         _enumerate(machine, budget, budget.max_len - 1)
+
+
+def test_enumeration_past_memory_is_refused(machine):
+    """The events of length 32 alone hold 2.2e12 bits: refused before any is spelled."""
+    with pytest.raises(ValueError, match=r"length <= \d+ take more than \d+ bits, a byte each: "):
+        enumerate_domain(machine, Budget(40))
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
@@ -348,6 +363,15 @@ def test_load_log_refuses_or_reproduces_any_edit(logs10, registry, data):
     assert (folder / "rewritten.jsonl").read_bytes() == edited
 
 
+def test_load_log_replay_is_bounded_by_memory(tmp_path, enum14, monkeypatch):
+    """A replay that fits in the file but not in memory is refused before any event is spelled."""
+    path = tmp_path / "log14.jsonl"
+    write_log(enum14, path)
+    monkeypatch.setattr("omegalab.enumerator._MEMORY", 1000)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: the events of length <= ")):
+        load_log(path)
+
+
 def _block_edits(lines, n):
     """(name, edited bytes, line load_log must name) for edits at line n (1-based)."""
     head = b"".join(lines[: n - 1])
@@ -384,4 +408,4 @@ _bits = st.text(alphabet="01")
 @given(st.builds(HaltEvent, st.integers(1), st.integers(1), _bits, _bits, st.integers(1)))
 def test_event_line_is_json(ev):
     """The shared event format writes exactly what json.dumps writes for an event."""
-    assert _event_line(ev) == json.dumps(ev._asdict(), sort_keys=True) + "\n"
+    assert _EVENT_LINE % _event_fields(ev) == json.dumps(ev._asdict(), sort_keys=True) + "\n"

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
+from omegalab import Budget, Machine, enumerate_domain
 from omegalab.bits import expansion_prefix, pair_to_bits
 from omegalab.dyadic import Dyadic, DyadicInterval, pow2_enclosure
 from omegalab.extractor import (
@@ -12,6 +14,7 @@ from omegalab.extractor import (
     tail_after_cutoff,
     verify_incompressible,
 )
+from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
 from omegalab.measures import cs_lower
 
 
@@ -74,6 +77,28 @@ def test_extract_matches_bruteforce(enum14):
         )
         assert got == want
         assert verify_incompressible(enum14, got)
+
+
+def census_row_extract(enum, n, T, mode):
+    """The least length-m string outside the census row at the mode's threshold.
+
+    The row is the length-m members of that threshold's stream.
+    """
+    t = Fraction(T)
+    m, threshold = ((t.numerator * n) // t.denominator, 1) if mode == "cs" else (n, t)
+    row = {s for s in enum.compressible_stream(threshold).members if len(s) == m}
+    return next(s for s in map(pair_to_bits, range(1 << m), repeat(m)) if s not in row)
+
+
+@pytest.mark.parametrize("L", [14, 18])
+@pytest.mark.parametrize("registry", [{}, {1: ReversePayloadDecoder(), 2: LoopForeverDecoder()}])
+def test_extract_matches_census_row_rule(L, registry):
+    enum = enumerate_domain(Machine(registry), Budget(L))
+    for mode in ("cs", "csb"):
+        for T in map(Fraction, ("1/2", "2/3", "3/4", "1")):
+            for n in range(2, 19):
+                got = extract_incompressible(enum, n, T, mode)
+                assert got == census_row_extract(enum, n, T, mode), (mode, T, n)
 
 
 def test_extract_avoids_census(enum14):

