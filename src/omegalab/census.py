@@ -33,27 +33,27 @@ class CensusRow:
         return self.n - math.log2(self.count)
 
 
+def _row(enum: EnumerationResult, n: int, members) -> CensusRow:
+    """Row n from its members, the stream's strings of length n."""
+    members = frozenset(members)
+    return CensusRow(n, members, len(members), enum.complexity_upper(nat_to_string(n)))
+
+
 def census(enum: EnumerationResult, n: int, T=1) -> CensusRow:
-    """Length-n compressible strings under threshold T (H_up(s) < T*n): row n of census_profile."""
+    """Length-n compressible strings under threshold T (H_up(s) < T*n): row n of census_profile, alone."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    return census_profile(enum, T, n)[n]
+    return _row(enum, n, (s for s in enum.compressible_stream(Fraction(T)).members if len(s) == n))
 
 
 def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> list[CensusRow]:
     """Census rows for n = 0 .. n_max (default: longest compressible string)."""
-    t = Fraction(T)
-    stream = enum.compressible_stream(t)
+    by_len: dict[int, list[str]] = {}
+    for s in enum.compressible_stream(Fraction(T)).members:
+        by_len.setdefault(len(s), []).append(s)
     if n_max is None:
-        n_max = max((len(s) for s in stream.members), default=0)
-    by_len: dict[int, set[str]] = {}
-    for s in stream.members:
-        by_len.setdefault(len(s), set()).add(s)
-    rows = []
-    for n in range(n_max + 1):
-        members = frozenset(by_len.get(n, set()))
-        rows.append(CensusRow(n, members, len(members), enum.complexity_upper(nat_to_string(n))))
-    return rows
+        n_max = max(by_len, default=0)
+    return [_row(enum, n, by_len.get(n, ())) for n in range(n_max + 1)]
 
 
 def write_profile_csv(rows: list[CensusRow], path) -> None:

@@ -53,7 +53,7 @@ def cmd_enumerate(args) -> int:
     result = enumerator.enumerate_domain(Machine(), budget, workers=args.workers)
     enumerator.write_log(result, args.out)
     summary = {
-        "events": len(result.events),
+        "events": result.counts["halt"],
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
         "machine": result.machine_digest,
@@ -68,7 +68,7 @@ def cmd_verify(args) -> int:
     enum = enumerator.load_log(args.log)
     budget = enum.budget
     sys.stdout.write(
-        f"ok: {args.log}: replays byte for byte ({len(enum.events)} events, "
+        f"ok: {args.log}: replays byte for byte ({enum.counts['halt']} events, "
         f"max_len {budget.max_len}, max_rounds {budget.max_rounds})\n"
     )
     return 0
@@ -76,8 +76,7 @@ def cmd_verify(args) -> int:
 
 def cmd_measure(args) -> int:
     enum = enumerator.load_log(args.log)
-    report = measures.evaluate(enum, args.quantity, args.T, args.prec)
-    _emit(report.to_json(enum), args.out)
+    _emit(measures.evaluate(enum, args.quantity, args.T, args.prec), args.out)
     return 0
 
 

@@ -201,16 +201,18 @@ class SharedRootPow2:
 
     Roots are keyed by (num % den, den) after reduction: exponents of one
     partial-sum table reduce to different denominators (|s| * 5/4 gives 4, 2
-    or 1), and the remainder alone would mix them up.
+    or 1), and the remainder alone would mix them up.  The ladder's chain of
+    square roots depends only on its working precision: one is kept per precision.
     """
 
-    __slots__ = ("prec", "_roots")
+    __slots__ = ("prec", "_roots", "_rungs")
 
     def __init__(self, prec: int):
         if prec < 1:
             raise ValueError("need prec >= 1")
         self.prec = prec
         self._roots: dict[tuple[int, int], int] = {}
+        self._rungs: dict[int, list[tuple[int, int]]] = {}
 
     def _endpoints(self, num: int, den: int) -> tuple[int, int, int]:
         """Integers (a, b, e) with a/2**e <= 2**(-num/den) <= b/2**e, width <= 2**-self.prec.
@@ -229,7 +231,7 @@ class SharedRootPow2:
         if den == 1:
             return 1, 1, num
         if den > _ROOT_METHOD_MAX_DEN:
-            return _pow2_by_ladder(num, den, self.prec)
+            return _pow2_by_ladder(num, den, self.prec, self._rungs)
         key = (num % den, den)
         root = self._roots.get(key)
         if root is None:
@@ -240,27 +242,29 @@ class SharedRootPow2:
         return floor, floor + 1, shift
 
 
-def _pow2_by_ladder(num: int, den: int, prec: int) -> tuple[int, int, int]:
-    """(a, b, e) enclosing 2**-(q + r/den) as in _endpoints, via interval square roots of 1/2."""
+def _pow2_by_ladder(num: int, den: int, prec: int, rungs: dict) -> tuple[int, int, int]:
+    """(a, b, e) enclosing 2**-(q + r/den) as in _endpoints, via interval square roots of 1/2.
+
+    rungs maps a working precision to its chain of roots, built on first use.
+    """
     q, r = divmod(num, den)
     work = prec + 16
     while True:
         scale = 1 << work
-        # interval chain s_i enclosing 2**(-2**-i), starting at 2**-1/2
-        lo_i = isqrt(scale * scale // 2)
-        hi_i = lo_i + 1
+        chain = rungs.get(work)
+        if chain is None:
+            # rung i encloses 2**(-2**-i) in [lo_i, hi_i] / 2**work, starting at 2**-1/2
+            lo_i = isqrt(scale * scale // 2)
+            chain = rungs[work] = [(lo_i, lo_i + 1)]
+            for _ in range(1, work):
+                lo_i, hi_i = chain[-1]
+                chain.append((isqrt(lo_i << work), isqrt((hi_i << work) - 1) + 1))
         frac = (r << work) // den  # floor of r/den to `work` bits; tail in [0, 2**-work)
         lo, hi = scale, scale
-        for i in range(1, work + 1):
+        for i, (lo_i, hi_i) in enumerate(chain, 1):
             if (frac >> (work - i)) & 1:
                 lo = (lo * lo_i) >> work
                 hi = ((hi * hi_i) >> work) + 1
-            if i < work:
-                lo_i = isqrt(lo_i << work)
-                v = hi_i << work
-                hi_i = isqrt(v)
-                if hi_i * hi_i < v:
-                    hi_i += 1
         # dropped exponent tail: divide by 2**t with t < 2**-work
         lo = lo - (lo >> work) - 1
         if hi - lo <= 1 << (work - prec):

@@ -80,6 +80,11 @@ class CompressibleStream:
         """|s_i| for every member, in stream order."""
         return tuple(map(len, self.members))
 
+    @cached_property
+    def histogram(self) -> Counter:
+        """{m: number of members of length m}: all that a whole stream sum reads."""
+        return Counter(map(len, self.members))
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -101,10 +106,11 @@ def _cached(cache: OrderedDict, key, build):
 
 
 class EnumerationResult:
-    """Completed enumeration: ordered halt events plus decided/undecided counts."""
+    """Completed enumeration: ordered halt events, outcome counts, and halts {L: halting programs of length L}."""
 
-    def __init__(self, events, budget, machine_digest, machine_identity, counts):
+    def __init__(self, events, budget, machine_digest, machine_identity, counts, halts):
         self.events: list[HaltEvent] = list(events)
+        self.halts: dict[int, int] = dict(halts)
         self.budget = budget
         self.machine_digest = machine_digest
         self.machine_identity = machine_identity
@@ -202,10 +208,13 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
     scheduled = min(budget.max_len, budget.max_rounds)
     counts = Counter({_purecore.OUT_OF_BUDGET: (2 << budget.max_len) - (2 << scheduled)})
     runs = []
+    halts = {}
     bits = 0
     for length in range(1, scheduled + 1):
         classes, length_counts = _purecore.generate_halts(length, machine.rows)
         counts.update(length_counts)
+        if length_counts[_purecore.HALT]:
+            halts[length] = length_counts[_purecore.HALT]
         for prefix, wlen, row in classes:
             first = _purecore.class_steps(length, wlen, row, 0)
             slope = _purecore.class_steps(length, wlen, row, 1) - first
@@ -223,7 +232,7 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
         steps = range(first, first + (1 << wlen)) if slope else repeat(first)
         events += map(_new_event, zip(count(len(events) + 1), repeat(length), programs, outputs, steps))
 
-    return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts)
+    return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts, halts)
 
 
 # One event line: the bytes of json.dumps(event, sort_keys=True) for binary

@@ -13,6 +13,7 @@ so every inequality check is sound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +47,8 @@ def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     lengths = enum.compressible_stream(1).lengths
     if not 0 <= k <= len(lengths):
         raise ValueError(f"k={k} out of range (stream length {len(lengths)})")
-    return DyadicInterval.from_row(_pow2_sum(lengths[:k], x, prec, weighted=True))
+    prefix = Counter(lengths[:k])
+    return DyadicInterval.from_row(_pow2_sum({l: l * n for l, n in prefix.items()}, x, prec))
 
 
 def stream_length(enum: EnumerationResult) -> int:
@@ -187,7 +189,7 @@ def upper_gap_sweep(enum, constants: GapConstants, x, prec: int = 96) -> bool:
     on k, so the inequality holds at every k iff it holds at k = K.
     """
     x = _upper_point(constants, x)
-    zx = _pow2_sum(enum.compressible_stream(1).lengths, x, prec)
+    zx = _pow2_sum(enum.compressible_stream(1).histogram, x, prec)
     zT = stream_sums(enum, constants.T, prec).full()[-1]
     return _upper_holds(zx, zT, x - constants.T, constants.c_upper)
 

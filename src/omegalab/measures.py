@@ -8,12 +8,13 @@ intervals of per-term width <= 2**-prec.  No floating point anywhere.
 Inside the package a sum stays an integer row (lo, hi, e), the enclosure
 [lo/2**e, hi/2**e]; DyadicInterval.from_row wraps one only where a public
 function returns it.  Tables of rows are kept under (threshold, x, prec).
+A whole sum reads only per-length counts: the result's halts for the
+halting sums, a stream's length histogram for the others.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -88,31 +89,27 @@ def stream_sums(enum: EnumerationResult, x, prec: int, threshold=1) -> PartialSu
     return enum.partial_sums((Fraction(threshold), x, prec), lambda: PartialSums(lengths, x, prec))
 
 
-def _pow2_sum(lengths, x=1, prec: int = 64, weighted: bool = False) -> tuple[int, int, int]:
-    """Row (lo, hi, e) enclosing sum w 2**(-l/x) over lengths l, w = l if weighted else 1, in one pass.
+def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
+    """Row (lo, hi, e) enclosing sum n 2**(-l/x) over the items (l, n) of histogram, in one pass.
 
-    Equal lengths are grouped and their enclosure is added once, times the
-    group's weight; this is _running_sums' last value, so it equals the
-    term-by-term sum (the last PartialSums row) bit for bit.
+    This is _running_sums' last value: exact integers added at the largest
+    exponent, so no grouping or order of the terms changes it, and it equals
+    the term-by-term sum (the last PartialSums row) bit for bit.
     """
-    counts = Counter(lengths)
-    if weighted:
-        for length in counts:
-            counts[length] *= length
     row = (0, 0, 0)
-    for row in _running_sums(SharedRootPow2(prec), counts.items(), Fraction(x)):
+    for row in _running_sums(SharedRootPow2(prec), histogram.items(), Fraction(x)):
         pass
     return row
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|p| over discovered halting programs; exact dyadic."""
-    return DyadicInterval.from_row(_pow2_sum(len(ev.program) for ev in enum.events)).lo
+    return DyadicInterval.from_row(_pow2_sum(enum.halts)).lo
 
 
 def cs_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|s| over compressible strings (H_up(s) < |s|); exact dyadic."""
-    return DyadicInterval.from_row(_pow2_sum(map(len, enum.compressible_stream(1).members))).lo
+    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).histogram)).lo
 
 
 def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
@@ -121,8 +118,7 @@ def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
     Degenerates to the plain halting sum at T=1 and to exact dyadics
     whenever num(T) divides every |p| * den(T).
     """
-    lengths = (len(ev.program) for ev in enum.events)
-    return DyadicInterval.from_row(_pow2_sum(lengths, _as_temperature(T), prec))
+    return DyadicInterval.from_row(_pow2_sum(enum.halts, _as_temperature(T), prec))
 
 
 def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -> DyadicInterval:
@@ -135,7 +131,7 @@ def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).lengths, t, prec))
+    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).histogram, t, prec))
 
 
 def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
@@ -146,7 +142,7 @@ def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return DyadicInterval.from_row(_pow2_sum(map(len, enum.compressible_stream(t).members))).lo
+    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(t).histogram)).lo
 
 
 def t_convergence_sum(enum: EnumerationResult, T) -> Dyadic:
@@ -158,62 +154,45 @@ def t_convergence_sum(enum: EnumerationResult, T) -> Dyadic:
     """
     t = _as_temperature(T)
     total = Dyadic.zero()
-    for s in enum.compressible_stream(1).members:
-        inner = Fraction(len(s)) / t
+    for length, n in enum.compressible_stream(1).histogram.items():
+        inner = Fraction(length) / t
         outer = inner * t
         if outer.denominator != 1:
             raise ArithmeticError("exponent algebra failed to cancel")
-        total = total + Dyadic.pow2(outer.numerator)
+        total = total + Dyadic.pow2(outer.numerator) * n
     return total
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    quantity: str
-    T: Fraction | None
-    interval: DyadicInterval
-    prec: int | None
-    divergent_family: bool
+def evaluate(enum: EnumerationResult, quantity: str, T=None, prec: int = 64) -> dict:
+    """The measure artifact of one quantity, the dict the command line emits as JSON.
 
-    def to_json(self, enum: EnumerationResult) -> dict:
-        d = {
-            "quantity": self.quantity,
-            "T": f"{self.T.numerator}/{self.T.denominator}" if self.T is not None else None,
-            "budget": asdict(enum.budget),
-            "exhaustive": enum.is_exhaustive(),
-            "lo": self.interval.lo.decimal(),
-            "hi": self.interval.hi.decimal(),
-            "exact": self.interval.exact,
-            "prec": self.prec,
-            "machine": enum.machine_digest,
-        }
-        if self.divergent_family:
-            d["divergent_family"] = True
-        return d
-
-
-def evaluate(enum: EnumerationResult, quantity: str, T=None, prec: int = 64) -> MeasureReport:
-    """Uniform entry point used by the command line."""
+    T is validated whenever it is given; a T above 1 is flagged divergent_family.
+    """
     t = _as_temperature(T) if T is not None else None
-    divergent = t is not None and t > 1
-    if quantity == "omega":
-        iv, t, prec_out = DyadicInterval.point(omega_lower(enum)), None, None
-        divergent = False
-    elif quantity == "cs":
-        iv, t, prec_out = DyadicInterval.point(cs_lower(enum)), None, None
-        divergent = False
-    elif quantity == "z":
-        if t is None:
-            raise ValueError("z requires --T")
-        iv, prec_out = z_lower(enum, t, prec), prec
-    elif quantity == "cst":
-        if t is None:
-            raise ValueError("cst requires --T")
-        iv, prec_out = cst_lower(enum, t, prec, trend=divergent), prec
-    elif quantity == "csbt":
-        if t is None:
-            raise ValueError("csbt requires --T")
-        iv, prec_out = DyadicInterval.point(csbt_lower(enum, t, trend=divergent)), None
-    else:
+    if quantity in ("omega", "cs"):
+        iv = DyadicInterval.point(omega_lower(enum) if quantity == "omega" else cs_lower(enum))
+        t = prec = None
+    elif quantity not in ("z", "cst", "csbt"):
         raise ValueError(f"unknown quantity {quantity!r}")
-    return MeasureReport(quantity, t, iv, prec_out, divergent)
+    elif t is None:
+        raise ValueError(f"{quantity} requires --T")
+    elif quantity == "z":
+        iv = z_lower(enum, t, prec)
+    elif quantity == "cst":
+        iv = cst_lower(enum, t, prec, trend=t > 1)
+    else:
+        iv, prec = DyadicInterval.point(csbt_lower(enum, t, trend=t > 1)), None
+    d = {
+        "quantity": quantity,
+        "T": f"{t.numerator}/{t.denominator}" if t is not None else None,
+        "budget": asdict(enum.budget),
+        "exhaustive": enum.is_exhaustive(),
+        "lo": iv.lo.decimal(),
+        "hi": iv.hi.decimal(),
+        "exact": iv.exact,
+        "prec": prec,
+        "machine": enum.machine_digest,
+    }
+    if t is not None and t > 1:
+        d["divergent_family"] = True
+    return d

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from omegalab.bits import nat_to_string
 from omegalab.census import CensusRow, census, census_profile, write_profile_csv
 
 
@@ -50,6 +51,14 @@ def test_census_is_a_row_of_the_profile(enum14, T):
     rows = census_profile(enum14, T, longest + 3)
     assert rows[: longest + 1] == census_profile(enum14, T)
     assert [census(enum14, n, T) for n in range(longest + 4)] == rows
+
+
+def test_census_builds_only_its_row(enum14, monkeypatch):
+    calls = []
+    monkeypatch.setattr("omegalab.census.nat_to_string", lambda n: calls.append(n) or nat_to_string(n))
+    row = census(enum14, 10**5)
+    assert calls == [10**5]
+    assert row.count == 0 and row.members == frozenset()
 
 
 def test_census_rejects_negative(enum14):

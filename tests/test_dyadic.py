@@ -1,7 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given
@@ -11,7 +11,6 @@ from omegalab.dyadic import (
     Dyadic,
     DyadicInterval,
     SharedRootPow2,
-    _pow2_by_ladder,
     iroot,
     pow2_enclosure,
 )
@@ -225,11 +224,62 @@ def test_endpoints_integer_exponent_match_pow2(k, den, prec):
     assert Dyadic(a, e) == Dyadic.pow2(k)
 
 
+def former_pow2_by_ladder(num, den, prec):
+    """The ladder as it was before its rungs were kept, rebuilding them per term: the oracle.
+
+    num/den is reduced with den > 64.  Returns (a, b, e) as _endpoints does.
+    """
+    q, r = divmod(num, den)
+    work = prec + 16
+    while True:
+        scale = 1 << work
+        # interval chain s_i enclosing 2**(-2**-i), starting at 2**-1/2
+        lo_i = isqrt(scale * scale // 2)
+        hi_i = lo_i + 1
+        frac = (r << work) // den  # floor of r/den to `work` bits; tail in [0, 2**-work)
+        lo, hi = scale, scale
+        for i in range(1, work + 1):
+            if (frac >> (work - i)) & 1:
+                lo = (lo * lo_i) >> work
+                hi = ((hi * hi_i) >> work) + 1
+            if i < work:
+                lo_i = isqrt(lo_i << work)
+                v = hi_i << work
+                hi_i = isqrt(v)
+                if hi_i * hi_i < v:
+                    hi_i += 1
+        # dropped exponent tail: divide by 2**t with t < 2**-work
+        lo = lo - (lo >> work) - 1
+        if hi - lo <= 1 << (work - prec):
+            return max(lo, 0), hi, work + q
+        work += 32
+
+
+@pytest.mark.parametrize("prec", [1, 8, 64, 96, 200])
+def test_ladder_rungs_are_built_once_per_working_precision(prec):
+    rng = random.Random(prec)
+    terms = []
+    while len(terms) < 60:
+        num, den = rng.randint(0, 3000), rng.randint(65, 400)
+        if den // gcd(num, den) > 64:
+            terms += [(num, den)] * rng.randint(1, 2)  # some exponents repeat
+    rng.shuffle(terms)
+    shared = SharedRootPow2(prec)
+    works = set()
+    for num, den in terms:
+        g = gcd(num, den)
+        want = former_pow2_by_ladder(num // g, den // g, prec)
+        assert shared._endpoints(num, den) == want
+        works.update(range(prec + 16, want[2] - num // den + 1, 32))  # e = work + q
+    assert set(shared._rungs) == works
+    assert all(len(chain) == work for work, chain in shared._rungs.items())
+
+
 @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=65, max_value=400), precs)
 def test_endpoints_ladder_path_match_ladder(num, den, prec):
     g = gcd(num, den)
     assume(den // g > 64)
-    want = _pow2_by_ladder(num // g, den // g, prec)
+    want = former_pow2_by_ladder(num // g, den // g, prec)
     assert SharedRootPow2(prec)._endpoints(num, den) == want
     lo, hi, e = want
     assert pow2_enclosure(num, den, prec) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))

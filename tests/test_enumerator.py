@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,16 @@ def test_events_come_in_canonical_order(registry):
     res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(16))
     keys = [(e.round, len(e.program), e.program) for e in res.events]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_halts_count_the_halting_programs_of_each_length(registry):
+    machine = Machine(REGISTRIES[registry])
+    for max_len in range(1, 17):
+        for max_rounds in {max_len, max_len - 3} - {-2, -1, 0}:
+            res = enumerate_domain(machine, Budget(max_len, max_rounds))
+            assert res.halts == dict(Counter(len(ev.program) for ev in res.events)), (max_len, max_rounds)
+            assert sum(res.halts.values()) == res.counts["halt"]
 
 
 @pytest.mark.parametrize("max_len", [12, 16])

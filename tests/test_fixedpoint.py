@@ -182,7 +182,7 @@ def test_sweeps_reach_both_ends_of_the_stream(lengths):
     lower one.
     """
     events = [HaltEvent(i, 1, "1", "0" * n, 1) for i, n in enumerate(lengths, start=1)]
-    enum = EnumerationResult(events, Budget(1), "synthetic", {}, {"halt": len(events)})
+    enum = EnumerationResult(events, Budget(1), "synthetic", {}, {"halt": len(events)}, {1: len(events)})
     assert enum.compressible_stream(1).lengths == lengths
     assert_sweeps_match_per_k(enum, Fraction(1, 2), Fraction(3, 4))
 

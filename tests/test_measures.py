@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from omegalab import Budget, enumerate_domain
 from omegalab.measures import (
     cs_lower,
     csbt_lower,
@@ -43,6 +44,14 @@ def test_cs_monotone_in_budget(enum_at):
     assert values[0] == 0  # nothing compresses below 11 bits
     assert values[1] > 0
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_halting_sums_read_no_events(machine):
+    # a fresh result: its sums read the per-length halt counts, never the events
+    res = enumerate_domain(machine, Budget(14))
+    want = omega_lower(res), z_lower(res, Fraction(2, 3), 96)
+    res.events = []
+    assert (omega_lower(res), z_lower(res, Fraction(2, 3), 96)) == want
 
 
 def test_z_is_omega_at_t1(enum14):
@@ -93,14 +102,16 @@ def test_temperature_validation(enum14):
 
 
 def test_evaluate_report(enum14):
-    rep = evaluate(enum14, "omega")
-    d = rep.to_json(enum14)
+    d = evaluate(enum14, "omega")
     assert d["quantity"] == "omega"
     assert d["exact"] is True
     assert d["lo"] == d["hi"] == "0.765625"
     assert d["machine"] == enum14.machine_digest
-    rep = evaluate(enum14, "cst", Fraction(2), 64)
-    assert rep.divergent_family
+    d = evaluate(enum14, "cst", Fraction(2), 64)
+    assert d["divergent_family"] is True
+    for quantity in ("omega", "cs"):  # T is validated even where the sum ignores it
+        with pytest.raises(ValueError):
+            evaluate(enum14, quantity, Fraction(-1, 2))
     with pytest.raises(ValueError):
         evaluate(enum14, "z")
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ every table row, made an interval by DyadicInterval.from_row, must equal
 the oracle's running sum bit for bit.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,13 @@ def test_stream_membership(enum14):
     assert stream.lengths == tuple(len(s) for s in stream.members)
 
 
+@pytest.mark.parametrize("threshold", [Fraction(1), Fraction(2, 3), Fraction(1, 2)], ids=str)
+def test_histogram_counts_the_stream_lengths(enum14, threshold):
+    stream = enum14.compressible_stream(threshold)
+    assert stream.histogram == Counter(stream.lengths)
+    assert stream.histogram is stream.histogram
+
+
 @pytest.mark.parametrize(
     "x",
     [Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), Fraction(65, 67)],
@@ -145,15 +153,18 @@ def test_stream_membership(enum14):
 def test_whole_sum_matches_per_term_sum(x, lengths, prec, weighted):
     # small lengths repeat often, so grouped terms are exercised; long ones put
     # exponents past prec in the same sum as exponents below it
-    got = DyadicInterval.from_row(_pow2_sum(lengths, x, prec, weighted))
+    histogram = Counter(lengths)
+    if weighted:
+        histogram = {length: length * n for length, n in histogram.items()}
+    got = DyadicInterval.from_row(_pow2_sum(histogram, x, prec))
     assert got == oracle_prefix_sums(lengths, x, prec, weighted)[-1]
 
 
 def test_whole_sum_edges(enum14):
     for x in (Fraction(1), Fraction(2, 3), Fraction(65, 67)):
-        assert _pow2_sum([], x, 8) == _pow2_sum([], x, 8, weighted=True) == (0, 0, 0)
+        assert _pow2_sum({}, x, 8) == (0, 0, 0)
     # prec < 1 raises on the exact path too, where no root is ever taken
     with pytest.raises(ValueError):
-        _pow2_sum([3, 6], Fraction(1, 3), 0)
+        _pow2_sum({3: 1, 6: 1}, Fraction(1, 3), 0)
     with pytest.raises(ValueError):
         cst_lower(enum14, Fraction(1, 3), prec=0)
