@@ -25,8 +25,8 @@ the table two ways: decode_pair runs one program, and generate_halts reads
 the table as a grammar, emitting the halting codeword classes of one length
 in program order and counting every outcome.  A halting class
 (prefix, wlen, row) stands for the programs prefix w, one per payload w of
-wlen bits; class_strings spells its payloads out as program and output
-strings, and class_steps gives their step counts.
+wlen bits; class_strings spells its payloads out as programs, outputs and
+step counts, and class_bits sums their program and output bits.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -151,8 +151,8 @@ def generate_halts(length: int, subs):
     bits orders the classes.  A class's programs are (prefix << wlen) | w
     for every payload w < 2**wlen, and each halts as decode_pair reports it
     under any budget of at least 2**length steps, with output
-    _output(row, w, wlen) and class_steps(length, wlen, row, w) <= 2**length
-    steps (module docstring).  counts maps each of the five outcomes to its
+    _output(row, w, wlen) and at most 2**length steps (module docstring), as
+    class_strings spells them.  counts maps each of the five outcomes to its
     number of programs, as decode_pair tallies them under such a budget:
     out of budget comes only from LOOP subtrees.
     """
@@ -199,28 +199,30 @@ def generate_halts(length: int, subs):
     return classes, counts
 
 
-def class_steps(length: int, wlen: int, row: int, w: int) -> int:
-    """Steps of payload w of a length-bit halting class: its reads, its output bits, one halt.
-
-    They grow with w by 0 or 1 per payload, so a run's steps are one value
-    or a range.
-    """
-    return length + _output(row, w, wlen)[1] + 1
+def class_bits(length: int, wlen: int, row: int) -> int:
+    """Program and output bits of every payload of one length-bit halting class, summed."""
+    size = 1 << wlen
+    if row == 2:  # zero run: payload w outputs 2**wlen + w - 1 bits
+        return size * length + 3 * size * (size - 1) // 2
+    return size * (length + _output(row, 0, wlen)[1])
 
 
 def class_strings(length: int, prefix: int, wlen: int, row: int):
-    """(programs, outputs) of every payload of one halting class, as bit strings.
+    """(programs, outputs, steps) of every payload of one halting class, strings as bits.
 
-    Payloads come out in increasing order, spelled by C-level iterators; no
-    program is decoded.
+    A payload's steps are its reads, its output bits and one halt.  Payloads
+    come out in increasing order, spelled by C-level iterators; no program
+    is decoded.
     """
     payloads = list(map("".join, product("01", repeat=wlen)))
     programs = map(format(prefix, f"0{length - wlen}b").__add__, payloads)
+    steps = repeat(length + _output(row, 0, wlen)[1] + 1, len(payloads))
     if row == 0:
-        return programs, payloads
+        return programs, payloads, steps
     if row == 1:
-        return programs, map(mul, payloads, repeat(2))
+        return programs, map(mul, payloads, repeat(2)), steps
     if row == REVERSE:
-        return programs, map(itemgetter(slice(None, None, -1)), payloads)
-    base = (1 << wlen) - 1  # zero run: 2**wlen + w - 1 output bits
-    return programs, map("0".__mul__, range(base, base + (1 << wlen)))
+        return programs, map(itemgetter(slice(None, None, -1)), payloads), steps
+    base = (1 << wlen) - 1  # zero run: 2**wlen + w - 1 output bits, so w more steps
+    outputs = map("0".__mul__, range(base, base + (1 << wlen)))
+    return programs, outputs, range(length + base + 1, length + base + 1 + (1 << wlen))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import census as census_mod
@@ -53,11 +52,10 @@ def cmd_enumerate(args) -> int:
     result = enumerator.enumerate_domain(Machine(), budget, workers=args.workers)
     enumerator.write_log(result, args.out)
     summary = {
+        **result.provenance(),
         "events": result.counts["halt"],
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
-        "machine": result.machine_digest,
-        "budget": asdict(budget),
         "log": args.out,
     }
     sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -86,11 +84,7 @@ def cmd_census(args) -> int:
     census_mod.write_profile_csv(rows, args.out)
     if args.members:
         with open(args.members, "w") as fh:
-            header = {
-                "machine": enum.machine_digest,
-                "budget": asdict(enum.budget),
-                "T": _frac_str(args.T),
-            }
+            header = {**enum.provenance(), "T": _frac_str(args.T)}
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for row in rows:
                 for s in sorted(row.members):
@@ -103,6 +97,7 @@ def cmd_extract(args) -> int:
     enum = enumerator.load_log(args.log)
     s = extractor.extract_incompressible(enum, args.n, args.T, args.mode)
     payload = {
+        **enum.provenance(),
         "n": args.n,
         "T": _frac_str(args.T),
         "mode": args.mode,
@@ -110,8 +105,6 @@ def cmd_extract(args) -> int:
         "verified": extractor.verify_incompressible(enum, s, args.T),
         "exhaustive": enum.is_exhaustive(),
         "advisory": not enum.is_exhaustive(),
-        "machine": enum.machine_digest,
-        "budget": asdict(enum.budget),
     }
     _emit(payload, args.out)
     return 0
@@ -132,6 +125,7 @@ def cmd_fixedpoint(args) -> int:
         trip = fixedpoint.reconstruction_roundtrip(enum, args.T, n, ctx)
         trips.append({"n": n, "ok": trip.ok, "selector_bits": len(trip.selector)})
     payload = {
+        **enum.provenance(),
         "T": _frac_str(args.T),
         "t": _frac_str(args.t),
         "constants": {
@@ -147,8 +141,6 @@ def cmd_fixedpoint(args) -> int:
         "roundtrips": trips,
         "roundtrip_all_ok": all(t["ok"] for t in trips),
         "stream_length": k_full,
-        "machine": enum.machine_digest,
-        "budget": asdict(enum.budget),
     }
     _emit(payload, args.out)
     return 0

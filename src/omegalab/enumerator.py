@@ -118,6 +118,10 @@ class EnumerationResult:
         self._streams: OrderedDict[Fraction, CompressibleStream] = OrderedDict()
         self._sum_tables: OrderedDict[tuple, object] = OrderedDict()
 
+    def provenance(self) -> dict:
+        """The machine digest and budget that every artifact carries."""
+        return {"machine": self.machine_digest, "budget": asdict(self.budget)}
+
     @property
     def undecided(self) -> int:
         return self.counts.get(_purecore.OUT_OF_BUDGET, 0)
@@ -216,20 +220,15 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
         if length_counts[_purecore.HALT]:
             halts[length] = length_counts[_purecore.HALT]
         for prefix, wlen, row in classes:
-            first = _purecore.class_steps(length, wlen, row, 0)
-            slope = _purecore.class_steps(length, wlen, row, 1) - first
-            size = 1 << wlen
-            # an event's program and output bits are its steps less one
-            bits += size * (first - 1) + slope * size * (size - 1) // 2
-            runs.append((length, prefix, wlen, row, first, slope))
+            bits += _purecore.class_bits(length, wlen, row)
+            runs.append((length, prefix, wlen, row))
         if bits > max_bits:
             raise ValueError(f"the events of length <= {length} take more than {max_bits} bits")
 
     events = []
-    for length, prefix, wlen, row, first, slope in runs:
+    for length, prefix, wlen, row in runs:
         # found in round length, like every halting program of that length
-        programs, outputs = _purecore.class_strings(length, prefix, wlen, row)
-        steps = range(first, first + (1 << wlen)) if slope else repeat(first)
+        programs, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
         events += map(_new_event, zip(count(len(events) + 1), repeat(length), programs, outputs, steps))
 
     return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts, halts)
@@ -253,9 +252,8 @@ def _log_lines(result: EnumerationResult):
     are read, by C-level iterators.
     """
     header = {
-        "machine": result.machine_digest,
+        **result.provenance(),
         "identity": result.machine_identity,
-        "budget": asdict(result.budget),
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
     }
@@ -283,18 +281,20 @@ def load_log(path) -> EnumerationResult:
     The header's identity names the machine (Machine.from_identity) and its
     max_len and max_rounds the budget; the log is replayed, by enumerating
     that machine under that budget, and refused at the first line that
-    differs from the replay's log.  The replay gives up once its log would
-    outgrow the file or memory, so a header that claims a huge budget fails
-    fast, even in a sparse file.
+    differs from the replay's log.  The header is read as at most
+    min(file size, _MEMORY) bytes, and the replay gives up once its log would
+    outgrow the file or memory, so neither a header with no end nor one that
+    claims a huge budget is read or replayed whole, even in a sparse file.
     """
     with open(path, "rb") as fh:
         n = 1
+        size = os.fstat(fh.fileno()).st_size
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(fh.readline(min(size, _MEMORY)))
             machine = Machine.from_identity(header["identity"])
             limits = header["budget"]
             budget = Budget(int(limits["max_len"]), int(limits["max_rounds"]))
-            result = _enumerate(machine, budget, min(8 * os.fstat(fh.fileno()).st_size, _MEMORY))
+            result = _enumerate(machine, budget, min(8 * size, _MEMORY))
             fh.seek(0)
             lines = _log_lines(result)
             while want := "".join(islice(lines, _COMPARE_BLOCK)).encode():

@@ -5,7 +5,7 @@ given a true binary prefix of one of the sums, find how many enumeration
 terms push the partial sum past it (the cutoff), and use the first-witness
 table to produce a string the budgeted machine cannot compress.  Both
 sum families read measures.stream_sums tables: integer rows (lo, hi, e),
-kept on the result under the one key (threshold, x, prec).
+kept on the result under the one key that stream_sums forms.
 """
 
 from __future__ import annotations

@@ -222,30 +222,13 @@ def _offset(j: int) -> int:
     return (j + 1) // 2 if j % 2 else -(j // 2)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Dyadic-integer neighbours of t_n, in offset order, clamped to n bits."""
-
-    candidates: tuple[str, ...]
-    dropped: tuple[int, ...]  # offset-order indices that left the n-bit range
-
-
-def candidate_set(t_n: str, c: int) -> CandidateSet:
-    n = len(t_n)
-    base = int(t_n, 2) if t_n else 0
-    candidates = []
-    dropped = []
-    for j in range((1 << (c + 1)) + 3):
-        value = base + _offset(j)
-        if 0 <= value < (1 << n):
-            candidates.append(pair_to_bits(value, n))
-        else:
-            dropped.append(j)
-    return CandidateSet(tuple(candidates), tuple(dropped))
-
-
 def candidate_at(t_n: str, c: int, index: int) -> str:
-    """Candidate at an offset-order index without materializing the set."""
+    """Candidate at an offset-order index: t_n + _offset(index), as n = |t_n| bits.
+
+    The candidate set is candidate_at(t_n, c, j) for every j < 2**(c+1) + 3
+    that does not raise: an index past that count, or one whose value leaves
+    the n-bit range, raises ReconstructFailed.
+    """
     if not 0 <= index < (1 << (c + 1)) + 3:
         raise ReconstructFailed(f"selector index {index} out of candidate range")
     value = (int(t_n, 2) if t_n else 0) + _offset(index)
@@ -271,18 +254,22 @@ class PhiContext:
     prec: int = 96
 
 
-def default_context(enum: EnumerationResult, T, t, depth: int = 48, prec: int = 96) -> PhiContext:
-    """A table converging to T from above, and one lower bound g of the tempered sum.
+# Entries of the f table, which also sets g's precision 8 + _DEPTH.
+_DEPTH = 48
 
-    g is the sum's lower end at precision 8 + depth.  Every precision gives
+
+def default_context(enum: EnumerationResult, T, t, prec: int = 96) -> PhiContext:
+    """f(l) = T + (t - T)/2**l for l = 1 .. _DEPTH, and one lower bound g of the tempered sum.
+
+    g is the sum's lower end at precision 8 + _DEPTH.  Every precision gives
     a sound bound, and the frame search reads only the largest g, so one
     is enough.
     """
     T = Fraction(T)
     t = Fraction(t)
     constants = derive_constants(enum, T, t, prec)
-    f = tuple(T + (t - T) / (1 << l) for l in range(1, depth + 1))
-    g = (cst_lower(enum, T, prec=8 + depth).lo.as_fraction(),)
+    f = tuple(T + (t - T) / (1 << l) for l in range(1, _DEPTH + 1))
+    g = (cst_lower(enum, T, prec=8 + _DEPTH).lo.as_fraction(),)
     return PhiContext(f, g, constants.c_lower, prec)
 
 
@@ -336,8 +323,7 @@ def _selector(frame: _Frame, n: int, target: Fraction, c: int) -> str:
     want = int(expansion_prefix(Fraction(target), n), 2)
     diff = want - int(frame.t_n, 2)
     j = 0 if diff == 0 else (2 * diff - 1 if diff > 0 else -2 * diff)
-    if j >= (1 << (c + 1)) + 3:
-        raise ReconstructFailed("target prefix is not among the candidates")
+    candidate_at(frame.t_n, c, j)  # raises unless the target is among the candidates
     return pair_to_bits(j, c + 2)
 
 
@@ -366,7 +352,7 @@ def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext
     """
     T = Fraction(T)
     # cs_lower(enum), the last row of the exact x = 1 table that find_cutoff walks
-    lo, _, e = stream_sums(enum, 1, 64).full()[-1]
+    lo, _, e = stream_sums(enum, 1, ctx.prec).full()[-1]
     if lo == 0:
         raise ReconstructFailed("compressible-string sum is zero at this budget")
     m = -((-T.numerator * n) // T.denominator)  # ceil(T n)

@@ -7,14 +7,14 @@ introduce terms 2**(-num/den) which are enclosed by outward-rounded
 intervals of per-term width <= 2**-prec.  No floating point anywhere.
 Inside the package a sum stays an integer row (lo, hi, e), the enclosure
 [lo/2**e, hi/2**e]; DyadicInterval.from_row wraps one only where a public
-function returns it.  Tables of rows are kept under (threshold, x, prec).
+function returns it.  Tables of rows are kept under (threshold, x, prec),
+or (threshold, x) when every row is exact.
 A whole sum reads only per-length counts: the result's halts for the
 halting sums, a stream's length histogram for the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -82,11 +82,14 @@ def stream_sums(enum: EnumerationResult, x, prec: int, threshold=1) -> PartialSu
     """Partial-sum table over the compressible stream at threshold, at temperature x.
 
     Kept on the result under (threshold, x, prec), so cs and csb share it at
-    T = 1.  Ask only to read it at several k; a whole sum is _pow2_sum's job.
+    T = 1.  At x = 1/q every exponent l/x is an integer and every row exact
+    at any prec, so the key is (threshold, x) alone.  Ask only to read it at
+    several k; a whole sum is _pow2_sum's job.
     """
     x = _as_temperature(x)
     lengths = enum.compressible_stream(threshold).lengths
-    return enum.partial_sums((Fraction(threshold), x, prec), lambda: PartialSums(lengths, x, prec))
+    key = (Fraction(threshold), x) + ((prec,) if x.numerator != 1 else ())
+    return enum.partial_sums(key, lambda: PartialSums(lengths, x, prec))
 
 
 def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
@@ -183,15 +186,14 @@ def evaluate(enum: EnumerationResult, quantity: str, T=None, prec: int = 64) -> 
     else:
         iv, prec = DyadicInterval.point(csbt_lower(enum, t, trend=t > 1)), None
     d = {
+        **enum.provenance(),
         "quantity": quantity,
         "T": f"{t.numerator}/{t.denominator}" if t is not None else None,
-        "budget": asdict(enum.budget),
         "exhaustive": enum.is_exhaustive(),
         "lo": iv.lo.decimal(),
         "hi": iv.hi.decimal(),
         "exact": iv.exact,
         "prec": prec,
-        "machine": enum.machine_digest,
     }
     if t is not None and t > 1:
         d["divergent_family"] = True

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from omegalab import cli, fixedpoint
+from omegalab import Budget, Machine, cli, enumerate_domain, fixedpoint
 from omegalab.cli import main
-from omegalab.machine import identity_digest
+from omegalab.enumerator import write_log
+from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder, identity_digest
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,44 @@ def test_verify_edited_log_exits_1(log14, tmp_path, capsys, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}: line {line}: differs from the replay of the header's machine and budget\n"
+
+
+def test_verify_dev_zero_exits_1_at_line_1(capsys):
+    """/dev/zero has size 0 and no newline: its header is read as no bytes, not forever."""
+    assert main(["verify", "--log", "/dev/zero"]) == 1
+    assert "error: /dev/zero: line 1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
+def test_every_artifact_carries_the_provenance(registry, tmp_path, capsys):
+    """Log header, enumerate summary, measure, census members, extract and fixedpoint."""
+    subs = {1: ReversePayloadDecoder(), 2: LoopForeverDecoder()} if registry != "none" else {}
+    result = enumerate_domain(Machine(subs), Budget(14))
+    want = result.provenance()
+    assert set(want) == {"machine", "budget"}
+    log = tmp_path / "log.jsonl"
+    carried = []
+    if subs:
+        write_log(result, log)
+    else:
+        assert main(["enumerate", "--max-len", "14", "--out", str(log)]) == 0
+        carried.append(json.loads(capsys.readouterr().out))
+    first = json.JSONDecoder().raw_decode  # the first value: a JSON file, or a JSONL header
+    carried.append(first(log.read_text())[0])
+    out, members = tmp_path / "out.json", tmp_path / "members.jsonl"
+    runs = [
+        (["measure", "--quantity", "cst", "--T", "1/2", "--out", str(out)], out),
+        (["census", "--T", "2/3", "--out", str(tmp_path / "c.csv"), "--members", str(members)], members),
+        (["extract", "--n", "8", "--out", str(out)], out),
+        (["fixedpoint", "--T", "1/2", "--t", "3/4", "--n-max", "2", "--grid", "2", "--out", str(out)], out),
+    ]
+    for argv, path in runs:
+        assert main(argv + ["--log", str(log)]) == 0, argv
+        carried.append(first(path.read_text())[0])
+    capsys.readouterr()
+    assert len(carried) == (6 if not subs else 5)
+    for artifact in carried:
+        assert {key: artifact[key] for key in want} == want
 
 
 def test_missing_log_exits_1(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -151,9 +152,8 @@ def test_generate_halts_matches_decode_pair():
         assert set(counts) == {kind.value for kind in OutcomeKind}
         halts = []
         for prefix, wlen, row in classes:
-            for w in range(1 << wlen):
+            for w, steps in enumerate(_purecore.class_strings(length, prefix, wlen, row)[2]):
                 out_val, out_len = _purecore._output(row, w, wlen)
-                steps = _purecore.class_steps(length, wlen, row, w)
                 halts.append(((prefix << wlen) | w, out_val, out_len, steps))
         for budget in (1 << length, 1 << (length + 1), 1 << 32):
             want = dict.fromkeys(counts, 0)
@@ -179,14 +179,20 @@ def test_generate_halts_emits_classes_in_program_order(registry):
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
 def test_halting_classes_are_found_in_their_length_round(registry):
-    """Every halting class runs within 2**length steps, so it is found in round length, whole."""
+    """Every halting class runs within 2**length steps, so it is found in round length, whole.
+
+    Its steps are its reads, output bits and halt, and class_bits is its
+    program and output bits summed.
+    """
     rows = Machine(REGISTRIES[registry]).rows
     for length in range(1, 17):
         for prefix, wlen, row in _purecore.generate_halts(length, rows)[0]:
-            first = _purecore.class_steps(length, wlen, row, 0)
-            last = _purecore.class_steps(length, wlen, row, (1 << wlen) - 1)
-            assert length < first <= last <= 1 << length, (length, prefix)
-            assert last - first in (0, (1 << wlen) - 1)  # steps grow by 0 or 1 per payload
+            programs, outputs, steps = map(list, _purecore.class_strings(length, prefix, wlen, row))
+            assert len(programs) == len(outputs) == len(steps) == 1 << wlen
+            assert steps == [length + len(s) + 1 for s in outputs], (length, prefix)
+            assert length < steps[0] <= steps[-1] <= 1 << length, (length, prefix)
+            assert steps[-1] - steps[0] in (0, (1 << wlen) - 1)  # steps grow by 0 or 1 per payload
+            assert _purecore.class_bits(length, wlen, row) == sum(map(len, programs + outputs))
 
 
 @pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
@@ -381,6 +387,23 @@ def test_load_log_replay_is_bounded_by_memory(tmp_path, enum14, monkeypatch):
     monkeypatch.setattr("omegalab.enumerator._MEMORY", 1000)
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: the events of length <= ")):
         load_log(path)
+
+
+def test_load_log_reads_the_header_no_further_than_memory(tmp_path, monkeypatch):
+    """A header with no newline is read as at most _MEMORY bytes, not as the whole file."""
+    limit = 1 << 16
+    monkeypatch.setattr("omegalab.enumerator._MEMORY", limit)
+    path = tmp_path / "sparse.jsonl"
+    with open(path, "wb") as fh:
+        fh.truncate(256 * limit)  # zeros, sparse on disk, and no newline
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: ")):
+            load_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert limit <= peak < 4 * limit  # the file holds 256 times the limit
 
 
 def _block_edits(lines, n):

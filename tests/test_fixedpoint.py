@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from omegalab.fixedpoint import (
     PhiContext,
     ReconstructFailed,
     _candidate_frame,
+    _Frame,
+    _selector,
     candidate_at,
-    candidate_set,
     check_floor_identities,
     check_lower_gap,
     check_upper_gap,
@@ -193,23 +195,37 @@ def test_floor_identities(consts):
         assert both == (True, True)
 
 
+def _candidates(t_n, c):
+    """(candidate_at at every index below the count, indices that raise)."""
+    kept, dropped = [], []
+    for j in range((1 << (c + 1)) + 3):
+        try:
+            kept.append(candidate_at(t_n, c, j))
+        except ReconstructFailed:
+            dropped.append(j)
+    return kept, dropped
+
+
 def test_candidate_order():
-    cs = candidate_set("0110", 1)
     # offsets 0, +1, -1, +2, -2, +3, -3 around 0110
-    assert cs.candidates == ("0110", "0111", "0101", "1000", "0100", "1001", "0011")
-    assert cs.dropped == ()
-    for j, cand in enumerate(cs.candidates):
-        assert candidate_at("0110", 1, j) == cand
+    assert _candidates("0110", 1) == (["0110", "0111", "0101", "1000", "0100", "1001", "0011"], [])
+    with pytest.raises(ReconstructFailed):
+        candidate_at("0110", 1, (1 << 2) + 3)  # one past the count
 
 
 def test_candidate_clamping():
-    cs = candidate_set("000", 1)
-    assert "111" not in cs.candidates
-    assert len(cs.candidates) + len(cs.dropped) == (1 << 2) + 3
-    with pytest.raises(ReconstructFailed):
-        candidate_at("000", 1, 2)  # offset -1 leaves the range
+    # the negative offsets around 000 leave the 3-bit range
+    assert _candidates("000", 1) == (["000", "001", "010", "011"], [2, 4, 6])
     with pytest.raises(ReconstructFailed):
         candidate_at("000", 1, 99)
+
+
+def test_selector_indexes_the_candidates():
+    # 0011 is offset +3 from 0000, index 5; 1111 is offset +15, index 29, past the count 7
+    assert _selector(_Frame(0, "0000"), 4, Fraction(3, 16), 1) == "101"
+    assert candidate_at("0000", 1, 0b101) == "0011"
+    with pytest.raises(ReconstructFailed):
+        _selector(_Frame(0, "0000"), 4, Fraction(15, 16), 1)
 
 
 def test_context_tables(ctx, enum14):
@@ -356,4 +372,17 @@ def test_composite_oversized_n_is_out_of_budget(enum14, ctx):
     prog = first + "01" + "0" * (ctx.c + 2)
     out = CompositeMachine(Machine(), enum14, ctx).decode(prog, 1 << 20)
     assert out.status == "out_of_budget"
+    assert out.consumed == len(prog)
+
+
+def test_composite_huge_m_needs_more_input(enum14, ctx):
+    # q outputs 0^65534, so m = phi(0^65534) = 2**65534 - 1 bits of v are due:
+    # no input holds them, and the decoder says so without counting to m
+    w = nat_to_string(65534)
+    second = "110" + gamma_encode(len(w) + 1) + w
+    prog = raw_program(nat_to_string(6)) + second + "0" * 64
+    start = time.perf_counter()
+    out = CompositeMachine(Machine(), enum14, ctx).decode(prog, 1 << 20)
+    assert time.perf_counter() - start < 0.5
+    assert out.status == "needs_more_input"
     assert out.consumed == len(prog)

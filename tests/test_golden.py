@@ -67,6 +67,11 @@ def cases() -> dict[str, tuple[list[str], list[str]]]:
     for T, t in FIXEDPOINT_PAIRS:
         name = f"fixedpoint_{_tag(T)}_{_tag(t)}"
         out[name] = (["fixedpoint", "--T", T, "--t", t, "--out", f"{name}.json"], [f"{name}.json"])
+    # T = 1/2 and T = 1/3 take integer exponents l/T: their tables, and the cutoff's, are exact
+    for T, t, prec in (("1/2", "3/4", "64"), ("1/2", "3/4", "200"), ("1/3", "2/3", "64")):
+        name = f"fixedpoint_{_tag(T)}_{_tag(t)}_prec{prec}"
+        argv = ["fixedpoint", "--T", T, "--t", t, "--prec", prec, "--out", f"{name}.json"]
+        out[name] = (argv, [f"{name}.json"])
     return out
 
 

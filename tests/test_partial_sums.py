@@ -15,16 +15,19 @@ from hypothesis import strategies as st
 
 from omegalab import enumerator
 from omegalab.dyadic import DyadicInterval, pow2_enclosure
+from omegalab.bits import expansion_prefix
 from omegalab.enumerator import CompressibleStream
+from omegalab.extractor import find_cutoff, tail_after_cutoff
 from omegalab.fixedpoint import (
     default_context,
     derive_constants,
     lower_gap_sweep,
+    reconstruction_roundtrip,
     upper_gap_sweep,
     w_k,
     z_k,
 )
-from omegalab.measures import _pow2_sum, cst_lower, stream_sums
+from omegalab.measures import PartialSums, _pow2_sum, cs_lower, cst_lower, stream_sums
 
 # 65/67 sends l*67/65 to the square-root ladder unless 5 or 13 divides l (den 65 > 64)
 TEMPERATURES = [
@@ -101,6 +104,27 @@ def test_only_reread_tables_are_cached(machine):
     assert not [key for key in keys if key[1] in grid or key[1] in (t, Fraction(5, 7))]
     # T's own table is read by both sweeps; the context's one bound is a one-pass sum
     assert [key for key in keys if key[1] == T] == [(1, T, 96)]
+
+
+def test_exact_tables_are_kept_once_at_any_precision(machine):
+    """At x = 1/q every row is exact: one table per (threshold, x), whatever prec reads it."""
+    res = enumerator.enumerate_domain(machine, enumerator.Budget(14))
+    T = Fraction(1, 2)
+    # the round trip first: its f tables are inexact, and the lookups below find the exact ones kept
+    assert reconstruction_roundtrip(res, T, 8, default_context(res, T, Fraction(3, 4))).ok
+    prefix = expansion_prefix(cs_lower(res).as_fraction(), 8, ones=True)
+    for prec in (8, 64, 96):
+        find_cutoff(res, prefix, prec=prec)
+        find_cutoff(res, "0", Fraction(2, 3), "csb", prec)
+        tail_after_cutoff(res, 3, T, "cs", prec)
+        z_k(res, 5, T, prec)
+    exact = {key: table for key, table in res._sum_tables.items() if key[1].numerator == 1}
+    assert set(exact) == {(1, 1), (1, T), (Fraction(2, 3), 1)}
+    assert all(len(key) == 3 for key in res._sum_tables if key not in exact)
+    for (threshold, x), table in exact.items():
+        lengths = res.compressible_stream(threshold).lengths
+        for prec in (8, 64, 96):
+            assert table.full() == PartialSums(lengths, x, prec).full()
 
 
 def test_streams_built_once(enum14):
