@@ -21,12 +21,13 @@ This module is the only place that knows the table, submachine rows
 included, and the only one that names a program's outcome: HALT,
 NEEDS_INPUT, HALTED_EARLY, OUT_OF_BUDGET and NO_SUCH_SUBMACHINE are the
 strings logs count under and OutcomeKind takes its values from.  It reads
-the table two ways: decode_pair runs one program, and generate_halts reads
+the table three ways: decode_pair runs one program, generate_halts reads
 the table as a grammar, emitting the halting codeword classes of one length
-in program order and counting every outcome.  A halting class
-(prefix, wlen, row) stands for the programs prefix w, one per payload w of
-wlen bits; class_strings spells its payloads out as programs, outputs and
-step counts, and class_bits sums their program and output bits.
+in program order and counting every outcome, and least_program reads it
+backwards, from an output to the shortest program that prints it.  A halting
+class (prefix, wlen, row) stands for the programs prefix w, one per payload
+w of wlen bits; class_strings spells its payloads out as programs, outputs
+and step counts, and class_bits sums their program and output bits.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -38,8 +39,10 @@ short, and no class needs a budget to be generated.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from operator import itemgetter, mul
+
+from .bits import gamma_encode
 
 # outcomes, named as logs and OutcomeKind name them
 HALT = "halt"
@@ -207,22 +210,51 @@ def class_bits(length: int, wlen: int, row: int) -> int:
     return size * (length + _output(row, 0, wlen)[1])
 
 
-def class_strings(length: int, prefix: int, wlen: int, row: int):
-    """(programs, outputs, steps) of every payload of one halting class, strings as bits.
+def class_strings(length: int, prefix: int, wlen: int, row: int, cut: int = -1):
+    """(programs, outputs, steps) of one halting class's payloads whose outputs have more than cut bits.
 
-    A payload's steps are its reads, its output bits and one halt.  Payloads
-    come out in increasing order, spelled by C-level iterators; no program
-    is decoded.
+    Strings are bits, and a payload's steps are its reads, its output bits
+    and one halt.  No output is shorter than the one before it, so the
+    payloads kept are a suffix: all or none on rows 0, 1 and REVERSE, whose
+    outputs share one length, and on the zero-run row those from
+    w = cut + 1 - (2**wlen - 1) on.  Payloads come out in increasing order,
+    spelled by C-level iterators; no program is decoded.
     """
-    payloads = list(map("".join, product("01", repeat=wlen)))
+    size = 1 << wlen
+    olen = _output(row, 0, wlen)[1]  # bits of the first payload's output
+    if row == 2:  # zero run: payload w outputs olen + w bits
+        lo = min(max(cut + 1 - olen, 0), size)
+    else:
+        lo = 0 if olen > cut else size
+    payloads = list(map("".join, islice(product("01", repeat=wlen), lo, None))) if lo < size else []
     programs = map(format(prefix, f"0{length - wlen}b").__add__, payloads)
-    steps = repeat(length + _output(row, 0, wlen)[1] + 1, len(payloads))
+    if row == 2:  # so payload w takes w more steps than payload 0
+        first = length + olen + 1
+        return programs, map("0".__mul__, range(olen + lo, olen + size)), range(first + lo, first + size)
+    steps = repeat(length + olen + 1, len(payloads))
     if row == 0:
         return programs, payloads, steps
     if row == 1:
         return programs, map(mul, payloads, repeat(2)), steps
-    if row == REVERSE:
-        return programs, map(itemgetter(slice(None, None, -1)), payloads), steps
-    base = (1 << wlen) - 1  # zero run: 2**wlen + w - 1 output bits, so w more steps
-    outputs = map("0".__mul__, range(base, base + (1 << wlen)))
-    return programs, outputs, range(length + base + 1, length + base + 1 + (1 << wlen))
+    return programs, map(itemgetter(slice(None, None, -1)), payloads), steps
+
+
+def least_program(s: str, max_len: int) -> str | None:
+    """The least program of at most max_len bits, by length then bits, that prints s; None if none does.
+
+    The raw row prints s, the square row prints s = ww, and the zero-run row
+    prints s = 0**k from the w with phi(w) = k, so '1' + w = bin(k + 1).  A
+    REVERSE row prints s too, from 111 g(e) g(|s|+1) reverse(s), but that is
+    2 + |g(e)| bits longer than the raw program 0 g(|s|+1) s, so it is never
+    the least.  A string that is not over '0' and '1' has no program.
+    """
+    if s.strip("01"):
+        return None
+    half = len(s) // 2
+    heads = [(_HEADER[0], s)]
+    if s[:half] == s[half:]:
+        heads.append((_HEADER[1], s[:half]))
+    if "1" not in s:
+        heads.append((_HEADER[2], bin(len(s) + 1)[3:]))
+    programs = (format(head, f"0{hlen}b") + gamma_encode(len(w) + 1) + w for (head, hlen), w in heads)
+    return min((p for p in programs if len(p) <= max_len), key=lambda p: (len(p), p), default=None)

@@ -12,20 +12,28 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 
 
 def iroot(x: int, n: int) -> tuple[int, bool]:
     """Floor n-th root of x >= 0 with an exactness flag.
 
     Newton iteration on integers; returns (r, exact) with r**n <= x < (r+1)**n
-    and exact iff r**n == x.
+    and exact iff r**n == x.  It starts from a float estimate of
+    2**(log2(x)/n), taken from x's top 64 bits and padded upward past the
+    float's rounding, so that a step or two reaches the root; the estimate
+    is doubled until it bounds the root from above, where Newton needs it.
     """
     if x < 0 or n < 1:
         raise ValueError("iroot needs x >= 0, n >= 1")
     if n == 1 or x < 2:
         return x, True
-    r = 1 << -(-x.bit_length() // n)  # upper start: r**n >= x
+    shift = max(x.bit_length() - 64, 0)
+    e = (log2((x >> shift) + 1) + shift) / n * (1 + 2**-40)  # log2 of an upper bound, over n
+    whole = int(e)
+    r = ((int(2 ** (e - whole) * 2**53) << whole) >> 53) + 1
+    while r ** n < x:
+        r <<= 1
     while True:
         nxt = ((n - 1) * r + x // r ** (n - 1)) // n
         if nxt >= r:
@@ -177,9 +185,6 @@ class DyadicInterval:
 
     def __sub__(self, other: "DyadicInterval") -> "DyadicInterval":
         return DyadicInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __contains__(self, value: Fraction) -> bool:
-        return self.lo.as_fraction() <= value <= self.hi.as_fraction()
 
 
 _ROOT_METHOD_MAX_DEN = 64

@@ -13,12 +13,17 @@ submachine rows included, as codeword classes: runs of programs that share
 a prefix and differ in their payload.  The grammar also counts every
 outcome; no program is run one by one.  It generates a length's classes in
 program order, so taking lengths in turn gives the canonical
-(round, length, program) order with nothing sorted, and each run's events
-are spelled out by C-level iterators.  In that order an output's first
-event is also its shortest program, so the complexity table keeps first
-events and is the one oracle of compressibility: every compressible
-stream, census row and extracted string is read off it.  This keeps
-enumeration stateless, replayable and deterministic.
+(round, length, program) order with nothing sorted.
+
+A result is these class runs, with the outcome counts and per-length halt
+counts; no event is spelled to get one.  Its readers take what they need
+from the runs: the log formats each run's lines, a compressible stream
+spells only the outputs of the runs that beat its threshold, and H_up(s)
+and its witness come from the least scheduled program that prints s
+(_purecore.least_program).  In run order an output's first event is
+also its shortest program, so a stream that keeps each qualifying output
+once enters it at its first witness.  Events are spelled only when asked
+for.  This keeps enumeration stateless, replayable and deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from fractions import Fraction
 from functools import cached_property, partial
 from io import BytesIO
 from itertools import chain, count, islice, repeat, zip_longest
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import _purecore
@@ -56,6 +60,11 @@ class Budget:
             raise ValueError("max_len must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+
+    @property
+    def scheduled(self) -> int:
+        """The longest program length the schedule runs: round r admits lengths <= r."""
+        return min(self.max_len, self.max_rounds)
 
 
 class HaltEvent(NamedTuple):
@@ -106,10 +115,15 @@ def _cached(cache: OrderedDict, key, build):
 
 
 class EnumerationResult:
-    """Completed enumeration: ordered halt events, outcome counts, and halts {L: halting programs of length L}."""
+    """Completed enumeration: its halting class runs, outcome counts and halts {L: halting programs of length L}.
 
-    def __init__(self, events, budget, machine_digest, machine_identity, counts, halts):
-        self.events: list[HaltEvent] = list(events)
+    runs lists the halting classes (length, prefix, wlen, row) in canonical
+    order.  Events are spelled from the runs on first use; no sum, stream,
+    log or command reads them.
+    """
+
+    def __init__(self, runs, budget, machine_digest, machine_identity, counts, halts):
+        self.runs: list[tuple[int, int, int, int]] = list(runs)
         self.halts: dict[int, int] = dict(halts)
         self.budget = budget
         self.machine_digest = machine_digest
@@ -136,10 +150,21 @@ class EnumerationResult:
         return self.undecided == 0
 
     @cached_property
+    def events(self) -> list[HaltEvent]:
+        """Every halt event in canonical order, spelled from the runs on first use."""
+        events = []
+        for length, prefix, wlen, row in self.runs:
+            # found in round length, like every halting program of that length
+            programs, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
+            events += map(_new_event, zip(count(len(events) + 1), repeat(length), programs, outputs, steps))
+        return events
+
+    @cached_property
     def complexity_table(self) -> dict[str, tuple[int, str]]:
         """(H_up(s), witness) of every output s, keyed in order of first event.
 
-        Events come in (length, program) order, so an output's first event
+        A view of the events, for checking the readers of the runs against:
+        events come in (length, program) order, so an output's first event
         has its shortest program and wins.
         """
         table: dict[str, tuple[int, str]] = {}
@@ -149,12 +174,12 @@ class EnumerationResult:
         return table
 
     def complexity_upper(self, s: str) -> int | None:
-        entry = self.complexity_table.get(s)
-        return entry[0] if entry else None
+        program = self.witness(s)
+        return None if program is None else len(program)
 
     def witness(self, s: str) -> str | None:
-        entry = self.complexity_table.get(s)
-        return entry[1] if entry else None
+        """The least scheduled program, by length then bits, that prints s: the program of s's first event."""
+        return _purecore.least_program(s, self.budget.scheduled)
 
     def compressible_stream(self, threshold: Fraction | int) -> CompressibleStream:
         """Distinct outputs with H_up(s) < T|s|, entered at their first witness.
@@ -172,11 +197,16 @@ class EnumerationResult:
         return _cached(self._sum_tables, key, build)
 
     def _build_stream(self, t: Fraction) -> CompressibleStream:
-        # an output's first event is its shortest program, so it qualifies
-        # if any event does, and the table keeps first events in order
+        # a run's programs of L bits qualify where their outputs have more
+        # than L * den // num bits; an output's first event is its shortest
+        # program, so it qualifies if any event does, and its first
+        # qualifying event is its first event
         num, den = t.numerator, t.denominator
-        table = self.complexity_table.items()
-        return CompressibleStream(t, tuple(s for s, (h, _) in table if h * den < num * len(s)))
+        outputs = (
+            _purecore.class_strings(length, prefix, wlen, row, length * den // num)[1]
+            for length, prefix, wlen, row in self.runs
+        )
+        return CompressibleStream(t, tuple(dict.fromkeys(chain.from_iterable(outputs))))
 
 
 _new_event = partial(tuple.__new__, HaltEvent)
@@ -208,8 +238,7 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
     """
     if budget.max_len > max_bits:
         raise ValueError(f"the counts for max_len {budget.max_len} take more than {max_bits} bits")
-    # round r only admits programs of length <= r: longer ones are never scheduled
-    scheduled = min(budget.max_len, budget.max_rounds)
+    scheduled = budget.scheduled
     counts = Counter({_purecore.OUT_OF_BUDGET: (2 << budget.max_len) - (2 << scheduled)})
     runs = []
     halts = {}
@@ -224,20 +253,14 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
             runs.append((length, prefix, wlen, row))
         if bits > max_bits:
             raise ValueError(f"the events of length <= {length} take more than {max_bits} bits")
-
-    events = []
-    for length, prefix, wlen, row in runs:
-        # found in round length, like every halting program of that length
-        programs, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
-        events += map(_new_event, zip(count(len(events) + 1), repeat(length), programs, outputs, steps))
-
-    return EnumerationResult(events, budget, machine.digest(), machine.identity(), counts, halts)
+    return EnumerationResult(runs, budget, machine.digest(), machine.identity(), counts, halts)
 
 
-# One event line: the bytes of json.dumps(event, sort_keys=True) for binary
-# program and output strings and int seq, round and steps.
-_EVENT_LINE = '{"output": "%s", "program": "%s", "round": %d, "seq": %d, "steps": %d}\n'
-_event_fields = itemgetter(3, 2, 1, 0, 4)  # output, program, round, seq, steps
+# The event lines of one round: formatted with the round, then with each
+# event's (output, program, seq, steps), it gives the bytes of
+# json.dumps(event, sort_keys=True) for binary program and output strings
+# and int seq, round and steps.
+_EVENT_LINE = '{"output": "%%s", "program": "%%s", "round": %d, "seq": %%d, "steps": %%d}\n'
 
 # Lines load_log compares at once, joined and encoded as one and checked
 # against as many bytes of the file: few enough that a block of the
@@ -245,11 +268,20 @@ _event_fields = itemgetter(3, 2, 1, 0, 4)  # output, program, round, seq, steps
 _COMPARE_BLOCK = 256
 
 
+def _run_lines(runs):
+    """The event lines of each run in turn, formatted as they are read by C-level iterators."""
+    seq = 1
+    for length, prefix, wlen, row in runs:
+        programs, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
+        yield map((_EVENT_LINE % length).__mod__, zip(outputs, programs, count(seq), steps))
+        seq += 1 << wlen
+
+
 def _log_lines(result: EnumerationResult):
     """The log of result, line by line: the one definition of the log format.
 
-    The header is formatted at once; the event lines are formatted as they
-    are read, by C-level iterators.
+    The header is formatted at once; the event lines are formatted from the
+    runs as they are read, and no event is spelled.
     """
     header = {
         **result.provenance(),
@@ -257,7 +289,7 @@ def _log_lines(result: EnumerationResult):
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
     }
-    lines = map(_EVENT_LINE.__mod__, map(_event_fields, result.events))
+    lines = chain.from_iterable(_run_lines(result.runs))
     return chain((json.dumps(header, sort_keys=True) + "\n",), lines)
 
 

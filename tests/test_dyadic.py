@@ -22,11 +22,22 @@ dyadics = st.builds(
 )
 
 
-@given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=12))
+# SharedRootPow2 takes den-th roots, den <= 64, of powers of two of up to (prec + 1) * den bits
+@given(st.integers(min_value=0, max_value=1 << 7000), st.integers(min_value=1, max_value=64))
 def test_iroot_bracket(x, n):
     r, exact = iroot(x, n)
     assert r**n <= x < (r + 1) ** n
     assert exact == (r**n == x)
+
+
+@given(st.integers(min_value=1, max_value=1 << 110), st.integers(min_value=1, max_value=64), st.sampled_from((-1, 0, 1)))
+def test_iroot_next_to_powers(k, n, d):
+    """k**n - 1, k**n and k**n + 1: where a float start or a Newton step is off by one."""
+    x = k**n + d
+    r, exact = iroot(x, n)
+    assert r**n <= x < (r + 1) ** n
+    assert exact == (r**n == x)
+    assert n == 1 or r == (k - 1 if d < 0 else k)
 
 
 def test_iroot_exact_powers():

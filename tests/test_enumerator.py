@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,19 @@ from hypothesis import strategies as st
 
 from omegalab import Budget, Machine, _purecore, enumerate_domain
 from omegalab.bits import pair_to_bits
+from omegalab.census import census_profile
 from omegalab.enumerator import (
     _COMPARE_BLOCK,
     HaltEvent,
     _EVENT_LINE,
     _enumerate,
-    _event_fields,
+    _log_lines,
     load_log,
     write_log,
 )
+from omegalab.extractor import extract_incompressible
 from omegalab.machine import LoopForeverDecoder, OutcomeKind, ReversePayloadDecoder
+from omegalab.measures import evaluate
 from reference import ref_halting_set, ref_steps
 
 REGISTRIES = {
@@ -310,14 +314,54 @@ def _table_by_events(events):
 def test_stream_first_witness_order():
     """Table and streams read first events only; a walk over every event is the oracle."""
     for registry in sorted(REGISTRIES):
-        for budget in (Budget(16), Budget(14, 11)):
+        for budget in (Budget(16), Budget(14, 11), Budget(19), Budget(21)):
             res = enumerate_domain(Machine(REGISTRIES[registry]), budget)
-            table = res.complexity_table
-            assert len(table) < len(res.events)  # some output has several programs
-            assert list(table.items()) == list(_table_by_events(res.events).items()), registry
+            if budget.max_len <= 16:
+                table = res.complexity_table
+                assert len(table) < len(res.events)  # some output has several programs
+                assert list(table.items()) == list(_table_by_events(res.events).items()), registry
             for t in map(Fraction, ("1", "1/2", "2/3", "5/6", "3/2")):
                 want = _stream_by_events(res.events, t)
                 assert list(res.compressible_stream(t).members) == want, (registry, budget, t)
+
+
+@pytest.mark.parametrize("budget", [Budget(16), Budget(14, 11)], ids=str)
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_h_up_closed_form_matches_the_events(registry, budget):
+    """complexity_upper and witness, from the least program that prints s, against every event.
+
+    Every output is checked, and so is every string of at most 10 bits and
+    0**k for k <= 40, printed or not.
+    """
+    res = enumerate_domain(Machine(REGISTRIES[registry]), budget)
+    table = _table_by_events(res.events)
+    strings = [pair_to_bits(v, n) for n in range(11) for v in range(1 << n)]
+    for s in chain(table, strings, ("0" * k for k in range(41))):
+        h, w = table.get(s, (None, None))
+        assert (res.complexity_upper(s), res.witness(s)) == (h, w), (registry, s)
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_log_lines_are_the_events_as_json(registry):
+    """Each run's lines, formatted straight from the run, are json.dumps of its events."""
+    res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(16, 15))
+    lines = list(_log_lines(res))[1:]
+    assert lines == [json.dumps(ev._asdict(), sort_keys=True) + "\n" for ev in res.events]
+
+
+@pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
+def test_no_command_path_spells_events(tmp_path, registry):
+    """Log, replay, the five sums, census and extract read the runs: no result spells its events."""
+    res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(16))
+    path = tmp_path / "log16.jsonl"
+    write_log(res, path)
+    loaded = load_log(path)
+    for quantity in ("omega", "cs", "z", "cst", "csbt"):
+        evaluate(loaded, quantity, Fraction(2, 3) if quantity in ("z", "cst", "csbt") else None)
+    census_profile(loaded, Fraction(2, 3))
+    extract_incompressible(loaded, 12, Fraction(2, 3))
+    for result in (res, loaded):
+        assert "events" not in vars(result) and "complexity_table" not in vars(result)
 
 
 def test_log_roundtrip(tmp_path, enum14):
@@ -442,4 +486,5 @@ _bits = st.text(alphabet="01")
 @given(st.builds(HaltEvent, st.integers(1), st.integers(1), _bits, _bits, st.integers(1)))
 def test_event_line_is_json(ev):
     """The shared event format writes exactly what json.dumps writes for an event."""
-    assert _EVENT_LINE % _event_fields(ev) == json.dumps(ev._asdict(), sort_keys=True) + "\n"
+    line = (_EVENT_LINE % ev.round) % (ev.output, ev.program, ev.seq, ev.steps)
+    assert line == json.dumps(ev._asdict(), sort_keys=True) + "\n"

@@ -6,7 +6,7 @@ import pytest
 
 from omegalab.bits import expansion_prefix
 from omegalab.dyadic import DyadicInterval
-from omegalab.enumerator import Budget, EnumerationResult, HaltEvent, enumerate_domain
+from omegalab.enumerator import Budget, CompressibleStream, EnumerationResult, enumerate_domain
 from omegalab.fixedpoint import (
     CompositeMachine,
     GapConstants,
@@ -183,8 +183,8 @@ def test_sweeps_reach_both_ends_of_the_stream(lengths):
     only k = K fail the upper gap, and a long first member only k = 1 the
     lower one.
     """
-    events = [HaltEvent(i, 1, "1", "0" * n, 1) for i, n in enumerate(lengths, start=1)]
-    enum = EnumerationResult(events, Budget(1), "synthetic", {}, {"halt": len(events)}, {1: len(events)})
+    enum = EnumerationResult([], Budget(1), "synthetic", {}, {"halt": len(lengths)}, {1: len(lengths)})
+    enum._streams[Fraction(1)] = CompressibleStream(Fraction(1), tuple("0" * n for n in lengths))
     assert enum.compressible_stream(1).lengths == lengths
     assert_sweeps_match_per_k(enum, Fraction(1, 2), Fraction(3, 4))
 
