@@ -26,8 +26,9 @@ the table as a grammar, emitting the halting codeword classes of one length
 in program order and counting every outcome, and least_program reads it
 backwards, from an output to the shortest program that prints it.  A halting
 class (prefix, wlen, row) stands for the programs prefix w, one per payload
-w of wlen bits; class_strings spells its payloads out as programs, outputs
-and step counts, and class_bits sums their program and output bits.
+w of wlen bits; class_strings spells its payloads out, with the program
+head they extend, their outputs and their step counts, and class_bits sums
+their program and output bits.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -211,14 +212,17 @@ def class_bits(length: int, wlen: int, row: int) -> int:
 
 
 def class_strings(length: int, prefix: int, wlen: int, row: int, cut: int = -1):
-    """(programs, outputs, steps) of one halting class's payloads whose outputs have more than cut bits.
+    """(head, payloads, outputs, steps) of one halting class's payloads whose outputs have more than cut bits.
 
-    Strings are bits, and a payload's steps are its reads, its output bits
-    and one halt.  No output is shorter than the one before it, so the
-    payloads kept are a suffix: all or none on rows 0, 1 and REVERSE, whose
-    outputs share one length, and on the zero-run row those from
-    w = cut + 1 - (2**wlen - 1) on.  Payloads come out in increasing order,
-    spelled by C-level iterators; no program is decoded.
+    Strings are bits: a payload's program is head + payload, and the kept
+    payloads come as a list.  steps is (first, grow): the first payload kept
+    takes first steps, its reads, output bits and one halt, and each next
+    one grow more, 1 on the zero-run row and 0 on the others.  No output is
+    shorter than the one before it, so the payloads kept are a suffix: all
+    or none on rows 0, 1 and REVERSE, whose outputs share one length, and on
+    the zero-run row those from w = cut + 1 - (2**wlen - 1) on.  Payloads
+    come out in increasing order, spelled by C-level iterators; no program
+    is decoded.
     """
     size = 1 << wlen
     olen = _output(row, 0, wlen)[1]  # bits of the first payload's output
@@ -226,17 +230,16 @@ def class_strings(length: int, prefix: int, wlen: int, row: int, cut: int = -1):
         lo = min(max(cut + 1 - olen, 0), size)
     else:
         lo = 0 if olen > cut else size
+    head = format(prefix, f"0{length - wlen}b")
     payloads = list(map("".join, islice(product("01", repeat=wlen), lo, None))) if lo < size else []
-    programs = map(format(prefix, f"0{length - wlen}b").__add__, payloads)
-    if row == 2:  # so payload w takes w more steps than payload 0
-        first = length + olen + 1
-        return programs, map("0".__mul__, range(olen + lo, olen + size)), range(first + lo, first + size)
-    steps = repeat(length + olen + 1, len(payloads))
+    if row == 2:
+        return head, payloads, map("0".__mul__, range(olen + lo, olen + size)), (length + olen + lo + 1, 1)
+    steps = (length + olen + 1, 0)
     if row == 0:
-        return programs, payloads, steps
+        return head, payloads, payloads, steps
     if row == 1:
-        return programs, map(mul, payloads, repeat(2)), steps
-    return programs, map(itemgetter(slice(None, None, -1)), payloads), steps
+        return head, payloads, map(mul, payloads, repeat(2)), steps
+    return head, payloads, map(itemgetter(slice(None, None, -1)), payloads), steps
 
 
 def least_program(s: str, max_len: int) -> str | None:

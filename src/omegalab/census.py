@@ -8,10 +8,9 @@ at every n) is a theorem, not an observation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 
 from .bits import nat_to_string
@@ -57,16 +56,14 @@ def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> li
 
 
 def write_profile_csv(rows: list[CensusRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "count", "two_pow_n", "gap", "h_upper_n"])
+    """The rows as CSV, each written as the csv module's excel dialect writes it."""
+    with open(path, "w", newline="") as fh, localcontext(prec=MAX_PREC):
+        fh.write("n,count,two_pow_n,gap,h_upper_n\r\n")
+        n, two_pow_n = 0, Decimal(1)
         for row in rows:
-            writer.writerow(
-                [
-                    row.n,
-                    row.count,
-                    Decimal(1 << row.n),  # no int-to-string digit limit
-                    "" if row.gap is None else f"{row.gap:.6f}",
-                    "" if row.h_upper_n is None else row.h_upper_n,
-                ]
-            )
+            # exact, with no int-to-string digit limit, and doubled from the row before when it can be
+            two_pow_n = two_pow_n + two_pow_n if row.n == n + 1 else Decimal(2) ** row.n
+            n = row.n
+            gap = "" if row.gap is None else f"{row.gap:.6f}"
+            h_upper_n = "" if row.h_upper_n is None else row.h_upper_n
+            fh.write("%d,%d,%s,%s,%s\r\n" % (n, row.count, two_pow_n, gap, h_upper_n))

@@ -17,19 +17,21 @@ program order, so taking lengths in turn gives the canonical
 
 A result is these class runs, with the outcome counts and per-length halt
 counts; no event is spelled to get one.  Its readers take what they need
-from the runs: the log formats each run's lines, a compressible stream
-spells only the outputs of the runs that beat its threshold, and H_up(s)
-and its witness come from the least scheduled program that prints s
-(_purecore.least_program).  In run order an output's first event is
-also its shortest program, so a stream that keeps each qualifying output
-once enters it at its first witness.  Events are spelled only when asked
-for.  This keeps enumeration stateless, replayable and deterministic.
+from the runs: the log formats each run's lines a block at a time, a
+compressible stream spells only the outputs of the runs that beat its
+threshold, and H_up(s) and its witness come from the least scheduled
+program that prints s (_purecore.least_program).  In run order an
+output's first event is also its shortest program, so a stream that keeps
+each qualifying output once enters it at its first witness.  Events are
+spelled only when asked for.  This keeps enumeration stateless, replayable
+and deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -155,8 +157,10 @@ class EnumerationResult:
         events = []
         for length, prefix, wlen, row in self.runs:
             # found in round length, like every halting program of that length
-            programs, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
-            events += map(_new_event, zip(count(len(events) + 1), repeat(length), programs, outputs, steps))
+            head, payloads, outputs, (first, grow) = _purecore.class_strings(length, prefix, wlen, row)
+            programs = map(head.__add__, payloads)
+            seqs = count(len(events) + 1)
+            events += map(_new_event, zip(seqs, repeat(length), programs, outputs, count(first, grow)))
         return events
 
     @cached_property
@@ -200,13 +204,19 @@ class EnumerationResult:
         # a run's programs of L bits qualify where their outputs have more
         # than L * den // num bits; an output's first event is its shortest
         # program, so it qualifies if any event does, and its first
-        # qualifying event is its first event
+        # qualifying event is its first event.  Only outputs of at most
+        # 2 * scheduled bits can have two programs: a longer one is a zero
+        # run, the zero runs differ in length, and every other output is
+        # shorter.  So a longer output is keyed by its length, never hashed.
         num, den = t.numerator, t.denominator
-        outputs = (
-            _purecore.class_strings(length, prefix, wlen, row, length * den // num)[1]
-            for length, prefix, wlen, row in self.runs
-        )
-        return CompressibleStream(t, tuple(dict.fromkeys(chain.from_iterable(outputs))))
+        limit = 2 * self.budget.scheduled
+        members = {}
+        for length, prefix, wlen, row in self.runs:
+            outputs = list(_purecore.class_strings(length, prefix, wlen, row, length * den // num)[2])
+            short = bisect_right(outputs, limit, key=len)  # outputs grow along a run
+            keys = chain(islice(outputs, short), map(len, islice(outputs, short, None)))
+            members.update(zip(keys, outputs))
+        return CompressibleStream(t, tuple(members.values()))
 
 
 _new_event = partial(tuple.__new__, HaltEvent)
@@ -256,32 +266,49 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
     return EnumerationResult(runs, budget, machine.digest(), machine.identity(), counts, halts)
 
 
-# The event lines of one round: formatted with the round, then with each
-# event's (output, program, seq, steps), it gives the bytes of
+# The event line of one run: formatted with the program head, the round and
+# the steps, or "%d" where the steps differ from line to line, then with each
+# event's (output, payload, seq[, steps]), it gives the bytes of
 # json.dumps(event, sort_keys=True) for binary program and output strings
 # and int seq, round and steps.
-_EVENT_LINE = '{"output": "%%s", "program": "%%s", "round": %d, "seq": %%d, "steps": %%d}\n'
+_EVENT_LINE = '{"output": "%%s", "program": "%s%%s", "round": %d, "seq": %%d, "steps": %s}\n'
 
-# Lines load_log compares at once, joined and encoded as one and checked
-# against as many bytes of the file: few enough that a block of the
-# longest outputs stays small next to the events.
+# Lines formatted at once, and compared at once by load_log against as many
+# bytes of the file: at most _COMPARE_BLOCK, and fewer where a run's lines
+# are long, so that a block of zero runs stays near _BLOCK_CHARS characters.
 _COMPARE_BLOCK = 256
+_BLOCK_CHARS = 1 << 15
 
 
-def _run_lines(runs):
-    """The event lines of each run in turn, formatted as they are read by C-level iterators."""
+def _run_blocks(runs):
+    """The event lines of each run in turn, in blocks of at most _COMPARE_BLOCK lines.
+
+    Each block is one % of the run's line template, repeated, over its
+    events' fields, taken from the run by C-level iterators.  A line holds
+    the template and, on average, class_bits >> wlen program and output bits.
+    """
     seq = 1
     for length, prefix, wlen, row in runs:
-        programs, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
-        yield map((_EVENT_LINE % length).__mod__, zip(outputs, programs, count(seq), steps))
-        seq += 1 << wlen
+        head, payloads, outputs, (first, grow) = _purecore.class_strings(length, prefix, wlen, row)
+        if grow:
+            line = _EVENT_LINE % (head, length, "%d")
+            fields = zip(outputs, payloads, count(seq), count(first))
+        else:
+            line = _EVENT_LINE % (head, length, first)
+            fields = zip(outputs, payloads, count(seq))
+        chars = len(line) + (_purecore.class_bits(length, wlen, row) >> wlen)
+        block = max(1, min(_COMPARE_BLOCK, _BLOCK_CHARS // chars))
+        for rest in range(len(payloads), 0, -block):
+            n = min(rest, block)
+            yield (line * n) % tuple(chain.from_iterable(islice(fields, n)))
+        seq += len(payloads)
 
 
-def _log_lines(result: EnumerationResult):
-    """The log of result, line by line: the one definition of the log format.
+def _log_blocks(result: EnumerationResult):
+    """The log of result in blocks of whole lines: the one definition of the log format.
 
-    The header is formatted at once; the event lines are formatted from the
-    runs as they are read, and no event is spelled.
+    The header is one block, formatted at once; the event lines follow in
+    blocks formatted from the runs as they are read, and no event is spelled.
     """
     header = {
         **result.provenance(),
@@ -289,8 +316,7 @@ def _log_lines(result: EnumerationResult):
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
     }
-    lines = chain.from_iterable(_run_lines(result.runs))
-    return chain((json.dumps(header, sort_keys=True) + "\n",), lines)
+    return chain((json.dumps(header, sort_keys=True) + "\n",), _run_blocks(result.runs))
 
 
 def write_log(result: EnumerationResult, path) -> None:
@@ -300,11 +326,11 @@ def write_log(result: EnumerationResult, path) -> None:
     cannot be written (a count past the int-to-string digit limit) leaves
     no file behind.
     """
-    lines = _log_lines(result)
-    header = next(lines)
+    blocks = _log_blocks(result)
+    header = next(blocks)
     with open(path, "w") as fh:
         fh.write(header)
-        fh.writelines(lines)
+        fh.writelines(blocks)
 
 
 def load_log(path) -> EnumerationResult:
@@ -328,17 +354,17 @@ def load_log(path) -> EnumerationResult:
             budget = Budget(int(limits["max_len"]), int(limits["max_rounds"]))
             result = _enumerate(machine, budget, min(8 * size, _MEMORY))
             fh.seek(0)
-            lines = _log_lines(result)
-            while want := "".join(islice(lines, _COMPARE_BLOCK)).encode():
+            for want in map(str.encode, _log_blocks(result)):
                 got = fh.read(len(want))
                 if got != want:
                     pairs = zip_longest(BytesIO(want), BytesIO(got), fillvalue=b"")
                     n += next(i for i, (a, b) in enumerate(pairs) if a != b)
                     break
                 n += want.count(b"\n")
-            if want or fh.read(1):
-                raise ValueError("differs from the replay of the header's machine and budget")
+            else:
+                if not fh.read(1):
+                    return result
+            raise ValueError("differs from the replay of the header's machine and budget")
         except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
             detail = exc if isinstance(exc, ValueError) else repr(exc)
             raise ValueError(f"{path}: line {n}: {detail}") from exc
-    return result

@@ -85,3 +85,33 @@ def test_csv_past_int_str_digit_limit(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[1][:2] == ["15000", "0"]
     assert int(Decimal(rows[1][2])) == 1 << 15000
+
+
+def _csv_oracle(rows, path):
+    """The census CSV as csv.writer writes it, with 2**n from Decimal(1 << n)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "count", "two_pow_n", "gap", "h_upper_n"])
+        for row in rows:
+            gap = "" if row.gap is None else f"{row.gap:.6f}"
+            h_upper_n = "" if row.h_upper_n is None else row.h_upper_n
+            writer.writerow([row.n, row.count, Decimal(1 << row.n), gap, h_upper_n])
+
+
+@pytest.mark.parametrize("T", [1, Fraction(2, 3), Fraction(1, 2)])
+@pytest.mark.parametrize("L", [14, 18])
+def test_csv_is_what_csv_writer_writes(tmp_path, enum_at, L, T):
+    rows = census_profile(enum_at(L), T)
+    write_profile_csv(rows, tmp_path / "census.csv")
+    _csv_oracle(rows, tmp_path / "oracle.csv")
+    assert (tmp_path / "census.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_csv_of_any_rows_is_what_csv_writer_writes(tmp_path):
+    """Rows that skip, repeat and go back in n, up to n = 5000, with every kind of gap and h_upper_n."""
+    ns = [3, 4, 5, 0, 1, 1, 17, 16, 4999, 5000, 2, 5000]
+    counts = [0, 1, 5, 0, 1, 2, 3, 0, 7, 1, 0, 2]
+    rows = [CensusRow(n, frozenset(), count, h) for n, count, h in zip(ns, counts, [None, 9, 12] * 4)]
+    write_profile_csv(rows, tmp_path / "census.csv")
+    _csv_oracle(rows, tmp_path / "oracle.csv")
+    assert (tmp_path / "census.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +13,12 @@ from omegalab import Budget, Machine, _purecore, enumerate_domain
 from omegalab.bits import pair_to_bits
 from omegalab.census import census_profile
 from omegalab.enumerator import (
+    _BLOCK_CHARS,
     _COMPARE_BLOCK,
     HaltEvent,
     _EVENT_LINE,
     _enumerate,
-    _log_lines,
+    _log_blocks,
     load_log,
     write_log,
 )
@@ -156,7 +157,8 @@ def test_generate_halts_matches_decode_pair():
         assert set(counts) == {kind.value for kind in OutcomeKind}
         halts = []
         for prefix, wlen, row in classes:
-            for w, steps in enumerate(_purecore.class_strings(length, prefix, wlen, row)[2]):
+            first, grow = _purecore.class_strings(length, prefix, wlen, row)[3]
+            for w, steps in enumerate(islice(count(first, grow), 1 << wlen)):
                 out_val, out_len = _purecore._output(row, w, wlen)
                 halts.append(((prefix << wlen) | w, out_val, out_len, steps))
         for budget in (1 << length, 1 << (length + 1), 1 << 32):
@@ -185,18 +187,27 @@ def test_generate_halts_emits_classes_in_program_order(registry):
 def test_halting_classes_are_found_in_their_length_round(registry):
     """Every halting class runs within 2**length steps, so it is found in round length, whole.
 
-    Its steps are its reads, output bits and halt, and class_bits is its
-    program and output bits summed.
+    Its programs are its head and payloads, its steps are its reads, output
+    bits and halt, and class_bits is its program and output bits summed.
     """
     rows = Machine(REGISTRIES[registry]).rows
     for length in range(1, 17):
         for prefix, wlen, row in _purecore.generate_halts(length, rows)[0]:
-            programs, outputs, steps = map(list, _purecore.class_strings(length, prefix, wlen, row))
-            assert len(programs) == len(outputs) == len(steps) == 1 << wlen
+            head, payloads, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
+            programs = [head + w for w in payloads]
+            assert programs == [pair_to_bits((prefix << wlen) | w, length) for w in range(1 << wlen)]
+            outputs, steps = list(outputs), list(islice(count(*steps), 1 << wlen))
+            assert len(outputs) == 1 << wlen
             assert steps == [length + len(s) + 1 for s in outputs], (length, prefix)
             assert length < steps[0] <= steps[-1] <= 1 << length, (length, prefix)
             assert steps[-1] - steps[0] in (0, (1 << wlen) - 1)  # steps grow by 0 or 1 per payload
             assert _purecore.class_bits(length, wlen, row) == sum(map(len, programs + outputs))
+            for cut in {len(outputs[0]) - 1, len(outputs[0]), len(outputs[-1]) - 1, len(outputs[-1])}:
+                kept_head, kept, kept_outputs, (first, grow) = _purecore.class_strings(length, prefix, wlen, row, cut)
+                lo = len(payloads) - len(kept)
+                assert all(len(s) <= cut for s in outputs[:lo]) and all(len(s) > cut for s in outputs[lo:])
+                assert (kept_head, kept, list(kept_outputs)) == (head, payloads[lo:], outputs[lo:])
+                assert not kept or first == steps[lo]
 
 
 @pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
@@ -343,10 +354,33 @@ def test_h_up_closed_form_matches_the_events(registry, budget):
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
 def test_log_lines_are_the_events_as_json(registry):
-    """Each run's lines, formatted straight from the run, are json.dumps of its events."""
-    res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(16, 15))
-    lines = list(_log_lines(res))[1:]
-    assert lines == [json.dumps(ev._asdict(), sort_keys=True) + "\n" for ev in res.events]
+    """The event blocks, formatted straight from the runs, are json.dumps of the events, line by line.
+
+    At L = 18 some runs hold more than _COMPARE_BLOCK events and are split.
+    """
+    for budget in (Budget(16, 15), Budget(18)):
+        res = enumerate_domain(Machine(REGISTRIES[registry]), budget)
+        header, *blocks = _log_blocks(res)
+        lines = "".join(blocks).splitlines(keepends=True)
+        assert lines == [json.dumps(ev._asdict(), sort_keys=True) + "\n" for ev in res.events], budget
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_log_blocks_are_whole_lines(registry):
+    """The header is one block, and every block ends a line and holds at most _COMPARE_BLOCK lines.
+
+    At L = 18 the raw and square classes of 17 and 18 bits hold more than
+    _COMPARE_BLOCK events, so their runs are split, and the zero-run lines
+    of 18 bits are long enough that their blocks are cut near _BLOCK_CHARS.
+    """
+    res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(18))
+    header, *blocks = _log_blocks(res)
+    assert header.count("\n") == 1 and header.endswith("\n")
+    sizes = [block.count("\n") for block in blocks]
+    assert all(block.endswith("\n") for block in blocks)
+    assert 1 <= min(sizes) and max(sizes) == _COMPARE_BLOCK and sum(sizes) == sum(res.halts.values())
+    assert max(map(len, blocks)) < 2 * _BLOCK_CHARS < sum(map(len, blocks))
+    assert any(_BLOCK_CHARS // 2 < len(block) and size < _COMPARE_BLOCK for block, size in zip(blocks, sizes))
 
 
 @pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
@@ -480,11 +514,40 @@ def test_load_log_names_the_line_at_compare_block_edges(tmp_path, enum14):
             assert str(exc.value).startswith(f"{path}: line {line}: "), (n, name, str(exc.value)[-80:])
 
 
+def test_load_log_names_the_line_at_every_block_edge(tmp_path, enum14):
+    """Edits at the first and last line of every block the replay compares are named at their line.
+
+    Only edits that keep the file near its size: one cut short early on is
+    too small to hold the replay, which gives up at line 1.
+    """
+    path = tmp_path / "log14.jsonl"
+    write_log(enum14, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    edges, n = set(), 1
+    for block in _log_blocks(enum14):
+        edges |= {n, n + block.count("\n") - 1}
+        n += block.count("\n")
+    assert n == len(lines) + 1 and len(edges) > 20
+    for n in sorted(edges):
+        for name, edited, line in _block_edits(lines, n):
+            if name not in ("overwrite", "delete", "duplicate"):
+                continue
+            path.write_bytes(edited)
+            with pytest.raises(ValueError) as exc:
+                load_log(path)
+            assert str(exc.value).startswith(f"{path}: line {line}: "), (n, name, str(exc.value)[-80:])
+
+
 _bits = st.text(alphabet="01")
 
 
-@given(st.builds(HaltEvent, st.integers(1), st.integers(1), _bits, _bits, st.integers(1)))
-def test_event_line_is_json(ev):
-    """The shared event format writes exactly what json.dumps writes for an event."""
-    line = (_EVENT_LINE % ev.round) % (ev.output, ev.program, ev.seq, ev.steps)
-    assert line == json.dumps(ev._asdict(), sort_keys=True) + "\n"
+@given(st.builds(HaltEvent, st.integers(1), st.integers(1), _bits, _bits, st.integers(1)), st.integers(0))
+def test_event_line_is_json(ev, cut):
+    """The shared event line, with the steps in the template or in the fields, is json.dumps of an event.
+
+    The program is split into a head, held by the template, and a payload.
+    """
+    head, payload = ev.program[:cut], ev.program[cut:]
+    fixed = (_EVENT_LINE % (head, ev.round, ev.steps)) % (ev.output, payload, ev.seq)
+    varying = (_EVENT_LINE % (head, ev.round, "%d")) % (ev.output, payload, ev.seq, ev.steps)
+    assert fixed == varying == json.dumps(ev._asdict(), sort_keys=True) + "\n"
