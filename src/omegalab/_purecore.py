@@ -249,7 +249,9 @@ def least_program(s: str, max_len: int) -> str | None:
     prints s = 0**k from the w with phi(w) = k, so '1' + w = bin(k + 1).  A
     REVERSE row prints s too, from 111 g(e) g(|s|+1) reverse(s), but that is
     2 + |g(e)| bits longer than the raw program 0 g(|s|+1) s, so it is never
-    the least.  A string that is not over '0' and '1' has no program.
+    the least.  At equal length the headers 0 < 10 < 110 order the
+    programs, so the least is the first shortest candidate, and only it is
+    spelled.  A string that is not over '0' and '1' has no program.
     """
     if s.strip("01"):
         return None
@@ -259,5 +261,10 @@ def least_program(s: str, max_len: int) -> str | None:
         heads.append((_HEADER[1], s[:half]))
     if "1" not in s:
         heads.append((_HEADER[2], bin(len(s) + 1)[3:]))
-    programs = (format(head, f"0{hlen}b") + gamma_encode(len(w) + 1) + w for (head, hlen), w in heads)
-    return min((p for p in programs if len(p) <= max_len), key=lambda p: (len(p), p), default=None)
+    # a program is its header, the gamma code of |w| + 1, then w
+    sizes = [hlen + 2 * (len(w) + 1).bit_length() - 1 + len(w) for (_, hlen), w in heads]
+    size = min(sizes)
+    if size > max_len:
+        return None
+    (head, hlen), w = heads[sizes.index(size)]
+    return format(head, f"0{hlen}b") + gamma_encode(len(w) + 1) + w

@@ -202,12 +202,14 @@ def pow2_enclosure(num: int, den: int, prec: int) -> DyadicInterval:
 
 
 class SharedRootPow2:
-    """Enclosures of 2**(-num/den) at one precision, computing each den-th root once.
+    """Enclosures of 2**(-num/den) at one precision, computing one root per denominator.
 
-    Roots are keyed by (num % den, den) after reduction: exponents of one
-    partial-sum table reduce to different denominators (|s| * 5/4 gives 4, 2
-    or 1), and the remainder alone would mix them up.  The ladder's chain of
-    square roots depends only on its working precision: one is kept per precision.
+    The first time a reduced denominator den <= 64 is needed, the floor root
+    floor(2**(prec + 1 - r/den)) of every residue 0 < r < den is filled from
+    one den-th root (_fill_roots); exponents of one partial-sum table reduce
+    to different denominators (|s| * 5/4 gives 4, 2 or 1), so roots are kept
+    per den.  The ladder's chain of square roots depends only on its working
+    precision: one is kept per precision.
     """
 
     __slots__ = ("prec", "_roots", "_rungs")
@@ -216,7 +218,7 @@ class SharedRootPow2:
         if prec < 1:
             raise ValueError("need prec >= 1")
         self.prec = prec
-        self._roots: dict[tuple[int, int], int] = {}
+        self._roots: dict[int, list[int]] = {}
         self._rungs: dict[int, list[tuple[int, int]]] = {}
 
     def _endpoints(self, num: int, den: int) -> tuple[int, int, int]:
@@ -224,10 +226,9 @@ class SharedRootPow2:
 
         den 1 is exact and den > 64 takes the ladder.  Otherwise, with
         r = num % den and q = num // den, root = floor(2**(prec + 1 - r/den)) is
-        one floor den-th root of a power of two, kept per (r, den).  With
-        shift = prec, or q + 1 + prec when num/den > prec,
-        floor(2**(shift - num/den)) == root >> (prec + 1 - (shift - q)), a shift
-        that is never negative.
+        den's root for residue r.  With shift = prec, or q + 1 + prec when
+        num/den > prec, floor(2**(shift - num/den)) == root >> (prec + 1 - (shift - q)),
+        a shift that is never negative.
         """
         if num < 0 or den < 1:
             raise ValueError("need num >= 0, den >= 1")
@@ -237,14 +238,39 @@ class SharedRootPow2:
             return 1, 1, num
         if den > _ROOT_METHOD_MAX_DEN:
             return _pow2_by_ladder(num, den, self.prec, self._rungs)
-        key = (num % den, den)
-        root = self._roots.get(key)
-        if root is None:
-            root = self._roots[key] = iroot(1 << ((self.prec + 1) * den - key[0]), den)[0]
-        q = num // den
+        roots = self._roots.get(den)
+        if roots is None:
+            roots = self._roots[den] = _fill_roots(self.prec, den)
+        q, r = divmod(num, den)
         shift = self.prec if self.prec * den >= num else q + 1 + self.prec
-        floor = root >> (self.prec + 1 - (shift - q))
+        floor = roots[r] >> (self.prec + 1 - (shift - q))
         return floor, floor + 1, shift
+
+
+def _fill_roots(prec: int, den: int) -> list[int]:
+    """floor(2**(prec + 1 - r/den)) at index r, for every 0 < r < den, from one den-th root.
+
+    y = floor(2**(w - 1/den)), w = prec + 1 + guard, and y + 1 enclose
+    2**(w - 1/den); their r-th powers, each product rounded outward at w
+    bits, enclose 2**(w - r/den).  Where both ends agree above the guard
+    bits, that is the exact floor of 2**(w - r/den) / 2**guard; at the first
+    residue where they differ, the fill starts again with twice the guard.
+    """
+    guard = 16
+    while True:
+        w = prec + 1 + guard
+        y = iroot(1 << (w * den - 1), den)[0]
+        lo = hi = 1 << w
+        roots = [0]
+        for _ in range(1, den):
+            lo = (lo * y) >> w
+            hi = -((-hi * (y + 1)) >> w)
+            if lo >> guard != hi >> guard:
+                break
+            roots.append(lo >> guard)
+        else:
+            return roots
+        guard *= 2
 
 
 def _pow2_by_ladder(num: int, den: int, prec: int, rungs: dict) -> tuple[int, int, int]:

@@ -36,11 +36,29 @@ def _running_sums(pow2: SharedRootPow2, terms, x: Fraction):
     enclosure endpoints are added into two integers at the largest exponent
     seen so far, so no interval is built per term.  Addition is exact, so
     each yield equals the term-by-term DyadicInterval sum bit for bit.
+    Past prec, with qq, r = divmod(l * q, p), _endpoints(l * q, p) is the
+    unit (a, b, f) of residue r with qq added to f: (root, root + 1,
+    prec + 1) on the root path, the ladder's (lo, hi, work), or (1, 1, 0)
+    when r = 0.  So one _endpoints per residue gives its unit, and a term
+    there costs a divmod and a lookup.
     """
     p, q = x.numerator, x.denominator
+    limit = pow2.prec * p
+    units: dict[int, tuple[int, int, int]] = {}
     lo = hi = e = 0
     for length, n in terms:
-        a, b, f = pow2._endpoints(length * q, p)
+        num = length * q
+        if num <= limit:
+            a, b, f = pow2._endpoints(num, p)
+        else:
+            qq, r = divmod(num, p)
+            unit = units.get(r)
+            if unit is None:
+                a, b, f = pow2._endpoints(num, p)
+                units[r] = a, b, f - qq
+            else:
+                a, b, f = unit
+                f += qq
         if f > e:
             lo, hi, e = lo << (f - e), hi << (f - e), f
         else:

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from omegalab import dyadic
 from omegalab.dyadic import (
     Dyadic,
     DyadicInterval,
     SharedRootPow2,
+    _fill_roots,
     iroot,
     pow2_enclosure,
 )
@@ -22,8 +24,9 @@ dyadics = st.builds(
 )
 
 
-# SharedRootPow2 takes den-th roots, den <= 64, of powers of two of up to (prec + 1) * den bits
-@given(st.integers(min_value=0, max_value=1 << 7000), st.integers(min_value=1, max_value=64))
+# SharedRootPow2 takes den-th roots, den <= 64, of powers of two of (prec + 1 + guard) * den bits:
+# at prec 96 after one retry, guard 32, that is up to (96 + 1 + 32) * 64 bits
+@given(st.integers(min_value=0, max_value=1 << ((96 + 1 + 32) * 64)), st.integers(min_value=1, max_value=64))
 def test_iroot_bracket(x, n):
     r, exact = iroot(x, n)
     assert r**n <= x < (r + 1) ** n
@@ -193,6 +196,22 @@ def test_shared_root_mixed_denominators(prec):
         assert DyadicInterval.from_row(shared._endpoints(num, den)) == pow2_enclosure(num, den, prec)
     with pytest.raises(ValueError):
         SharedRootPow2(0)
+
+
+@pytest.mark.parametrize("prec", [1, 2, 8, 64, 96, 200])
+def test_filled_roots_match_one_root_per_residue(prec, monkeypatch):
+    """Roots filled from one den-th root against one iroot per residue, the way they were taken before.
+
+    (1, 53), (2, 59) and (64, 37) leave some residue undecided at the first
+    guard, so they take a second den-th root at twice the guard.
+    """
+    taken = []
+    monkeypatch.setattr(dyadic, "iroot", lambda x, n: taken.append(n) or iroot(x, n))
+    for den in range(2, 65):
+        roots = _fill_roots(prec, den)
+        assert roots[1:] == [iroot(1 << ((prec + 1) * den - r), den)[0] for r in range(1, den)], den
+    retries = {den: taken.count(den) - 1 for den in set(taken) if taken.count(den) > 1}
+    assert retries == {1: {53: 1}, 2: {59: 1}, 64: {37: 1}}.get(prec, {})
 
 
 def former_pow2_by_root(num, den, prec):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab import Budget, Machine, _purecore, enumerate_domain
-from omegalab.bits import pair_to_bits
+from omegalab.bits import gamma_encode, pair_to_bits
 from omegalab.census import census_profile
 from omegalab.enumerator import (
     _BLOCK_CHARS,
@@ -350,6 +350,30 @@ def test_h_up_closed_form_matches_the_events(registry, budget):
     for s in chain(table, strings, ("0" * k for k in range(41))):
         h, w = table.get(s, (None, None))
         assert (res.complexity_upper(s), res.witness(s)) == (h, w), (registry, s)
+
+
+def former_least_program(s, max_len):
+    """least_program spelling every candidate, then taking the min by (length, bits): the oracle."""
+    if s.strip("01"):
+        return None
+    half = len(s) // 2
+    heads = [(_purecore._HEADER[0], s)]
+    if s[:half] == s[half:]:
+        heads.append((_purecore._HEADER[1], s[:half]))
+    if "1" not in s:
+        heads.append((_purecore._HEADER[2], bin(len(s) + 1)[3:]))
+    programs = (format(head, f"0{hlen}b") + gamma_encode(len(w) + 1) + w for (head, hlen), w in heads)
+    return min((p for p in programs if len(p) <= max_len), key=lambda p: (len(p), p), default=None)
+
+
+@pytest.mark.parametrize("max_len", [1, 3, 7, 11, 14, 19, 25, 40, 64])
+def test_least_program_matches_spelling_every_candidate(max_len):
+    """The least program, picked by size and header order before it is spelled, against the spelled min."""
+    strings = [pair_to_bits(v, n) for n in range(13) for v in range(1 << n)]
+    runs = [c * k for c in "01" for k in range(300)]
+    squares = [w + w for w in ("1", "01", "110", "0" * 7, "1" * 9, "0110" * 5, "1" + "0" * 30, "0" * 40 + "1")]
+    for s in chain(strings, runs, squares, ("", "2", "0 1")):
+        assert _purecore.least_program(s, max_len) == former_least_program(s, max_len), s
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))

@@ -29,9 +29,13 @@ from omegalab.fixedpoint import (
 )
 from omegalab.measures import PartialSums, _pow2_sum, cs_lower, cst_lower, stream_sums
 
-# 65/67 sends l*67/65 to the square-root ladder unless 5 or 13 divides l (den 65 > 64)
+# 65/67 sends l*67/65 to the square-root ladder unless 5 or 13 divides l (den 65 > 64);
+# the fixedpoint grid points 35/68, 49/68 and 25/51 reduce l*q/p to several
+# denominators (35, 7, 5, 1; 49, 7, 1; 25, 5, 1), so one sum takes units of each
+UNIT_TEMPERATURES = [Fraction(35, 68), Fraction(49, 68), Fraction(25, 51)]
 TEMPERATURES = [
-    Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(5, 6), Fraction(65, 67)
+    Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(5, 6), Fraction(65, 67),
+    *UNIT_TEMPERATURES,
 ]
 PRECISIONS = [1, 8, 64, 96, 200]
 
@@ -163,7 +167,7 @@ def test_histogram_counts_the_stream_lengths(enum14, threshold):
 
 @pytest.mark.parametrize(
     "x",
-    [Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), Fraction(65, 67)],
+    [Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), Fraction(65, 67), *UNIT_TEMPERATURES],
     ids=str,
 )
 @given(
