@@ -100,9 +100,9 @@ class CompressibleStream:
         return len(self.members)
 
 
-# Streams and partial-sum tables a result keeps, each evicted least recently
-# used first, so a sweep over many thresholds or temperatures stays bounded.
-_MAX_CACHED = 32
+# Streams and partial-sum tables a result keeps, least recently used evicted
+# first so sweeps stay bounded; 64 holds the 50 tables of a fixedpoint run.
+_MAX_CACHED = 64
 
 
 def _cached(cache: OrderedDict, key, build):

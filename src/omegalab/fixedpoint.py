@@ -13,11 +13,12 @@ so every inequality check is sound.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import bit_prefix_value, expansion_prefix, pair_to_bits
+from .bits import expansion_prefix, pair_to_bits
 from .dyadic import Dyadic, DyadicInterval
 from .enumerator import EnumerationResult
 from .extractor import NoCutoff, find_cutoff, tail_after_cutoff
@@ -33,7 +34,8 @@ def ln2_enclosure(terms: int = 64) -> tuple[Fraction, Fraction]:
     """Rational enclosure of ln 2 from sum 1/(k 2**k), tail < 1/((K+1) 2**K)."""
     if terms < 1:
         raise ValueError("need at least one term")
-    partial = sum(Fraction(1, k << k) for k in range(1, terms + 1))
+    lcm = math.lcm(*range(1, terms + 1))
+    partial = Fraction(sum((lcm // k) << (terms - k) for k in range(1, terms + 1)), lcm << terms)
     return partial, partial + Fraction(1, (terms + 1) << terms)
 
 
@@ -76,45 +78,43 @@ class GapConstants:
 
 def prefix_value(T: Fraction, n: int) -> Fraction:
     """Value of the first n expansion bits of T (expansion with infinitely many zeros)."""
-    return bit_prefix_value(expansion_prefix(T, n))
+    return Fraction(((T.numerator % T.denominator) << n) // T.denominator, 1 << n)
+
+
+def _ceil_log2(x: Fraction) -> int:
+    """Least c >= 0 with 2**c >= x, for x > 0."""
+    return (math.ceil(x) - 1).bit_length()
+
+
+def _c_lower(enum: EnumerationResult, T: Fraction, t: Fraction, prec: int) -> int:
+    """Least c >= 0 with 2**-c <= ln2 |s_1| 2**(-|s_1|/T), at lower bounds; checks derive_constants' inputs."""
+    if not 0 < T < t < 1:
+        raise ValueError("need 0 < T < t < 1")
+    if stream_length(enum) == 0:
+        raise ReconstructFailed("empty compressible stream at this budget")
+    l1 = enum.compressible_stream(1).lengths[0]
+    lower = ln2_enclosure(max(prec, 32))[0] * l1 * z_k(enum, 1, T, prec).lo.as_fraction()
+    if lower <= 0:
+        raise ReconstructFailed("first-term lower bound vanished; raise prec")
+    return _ceil_log2(1 / lower)
 
 
 def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConstants:
     """Certified gap constants from interval bounds of known rounding direction.
 
-    c_upper uses upper bounds of W(t) and ln 2; c_lower uses lower bounds of
-    the first stream term.  Requires a nonempty stream and 0 < T < t < 1.
+    c_upper uses upper bounds of W(t) and ln 2; c_lower is _c_lower's, which
+    default_context reads alone.  Requires a nonempty stream and 0 < T < t < 1.
     """
     T = Fraction(T)
     t = Fraction(t)
-    if not 0 < T < t < 1:
-        raise ValueError("need 0 < T < t < 1")
-    k_full = stream_length(enum)
-    if k_full == 0:
-        raise ReconstructFailed("empty compressible stream at this budget")
-    ln2_lo, ln2_hi = ln2_enclosure(max(prec, 32))
-
-    w_hi = w_k(enum, k_full, t, prec).hi.as_fraction()
-    upper = w_hi * ln2_hi / (T * T)
-    c_upper = 0
-    while Fraction(1 << c_upper) < upper:
-        c_upper += 1
-
-    l1 = enum.compressible_stream(1).lengths[0]
-    term_lo = z_k(enum, 1, T, prec).lo.as_fraction()
-    lower = ln2_lo * l1 * term_lo
-    if lower <= 0:
-        raise ReconstructFailed("first-term lower bound vanished; raise prec")
-    c_lower = 0
-    while Fraction(1, 1 << c_lower) > lower:
-        c_lower += 1
+    c_lower = _c_lower(enum, T, t, prec)
+    w_hi = w_k(enum, stream_length(enum), t, prec).hi.as_fraction()
+    c_upper = _ceil_log2(w_hi * ln2_enclosure(max(prec, 32))[1] / (T * T))
 
     # n0: least n such that 0.(T|n) + 2**-n < t for every n' >= n.  Beyond
-    # n* with 2**-n* < t - T the condition holds automatically, so only a
-    # finite scan is needed.
-    n_star = 1
-    while Fraction(1, 1 << n_star) >= t - T:
-        n_star += 1
+    # the least n* with 2**-n* < t - T, the bit length of floor(1/(t - T)),
+    # the condition holds automatically, so only a finite scan is needed.
+    n_star = ((t - T).denominator // (t - T).numerator).bit_length()
     n0 = n_star
     for n in range(n_star - 1, 0, -1):
         if prefix_value(T, n) + Fraction(1, 1 << n) < t:
@@ -259,18 +259,18 @@ _DEPTH = 48
 
 
 def default_context(enum: EnumerationResult, T, t, prec: int = 96) -> PhiContext:
-    """f(l) = T + (t - T)/2**l for l = 1 .. _DEPTH, and one lower bound g of the tempered sum.
+    """f(l) = T + (t - T)/2**l for l = 1 .. _DEPTH, one lower bound g of the tempered sum, and c = c_lower.
 
     g is the sum's lower end at precision 8 + _DEPTH.  Every precision gives
     a sound bound, and the frame search reads only the largest g, so one
-    is enough.
+    is enough.  c is derive_constants' c_lower, without W(t) and the rest.
     """
     T = Fraction(T)
     t = Fraction(t)
-    constants = derive_constants(enum, T, t, prec)
+    c = _c_lower(enum, T, t, prec)
     f = tuple(T + (t - T) / (1 << l) for l in range(1, _DEPTH + 1))
     g = (cst_lower(enum, T, prec=8 + _DEPTH).lo.as_fraction(),)
-    return PhiContext(f, g, constants.c_lower, prec)
+    return PhiContext(f, g, c, prec)
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,22 @@ def test_fixedpoint_checks_64_floor_identities_from_n2(log14, capsys, monkeypatc
     assert d["floor_identities_all_n"]
 
 
+def test_fixedpoint_derives_the_constants_once(log14, capsys, monkeypatch):
+    calls = {"derive_constants": 0, "w_k": 0}
+    for name in calls:
+        original = getattr(fixedpoint, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, name, counted)
+    capsys.readouterr()
+    assert main(["fixedpoint", "--T", "1/2", "--t", "3/4", "--n-max", "4", "--log", str(log14)]) == 0
+    assert json.loads(capsys.readouterr().out)["roundtrip_all_ok"]
+    assert calls == {"derive_constants": 1, "w_k": 1}
+
+
 def test_empty_error_message_names_the_exception(monkeypatch, capsys):
     def fail(args):
         raise MemoryError()

@@ -1,10 +1,13 @@
+import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from omegalab.bits import expansion_prefix
+from omegalab import enumerator, fixedpoint, measures
+from omegalab.bits import bit_prefix_value, expansion_prefix
 from omegalab.dyadic import DyadicInterval
 from omegalab.enumerator import Budget, CompressibleStream, EnumerationResult, enumerate_domain
 from omegalab.fixedpoint import (
@@ -13,6 +16,7 @@ from omegalab.fixedpoint import (
     PhiContext,
     ReconstructFailed,
     _candidate_frame,
+    _ceil_log2,
     _Frame,
     _selector,
     candidate_at,
@@ -24,6 +28,7 @@ from omegalab.fixedpoint import (
     ln2_enclosure,
     lower_gap_sweep,
     phi_reconstruct,
+    prefix_value,
     reconstruction_roundtrip,
     stream_length,
     true_selector,
@@ -55,6 +60,68 @@ def test_ln2_enclosure():
     assert Fraction(693147180559945, 10**15) < lo < hi < Fraction(693147180559946, 10**15)
     lo32, hi32 = ln2_enclosure(32)
     assert lo32 <= lo and hi <= hi32
+    for terms in (1, 2, 32, 64, 96, 200, 500):
+        # the enclosure as first written, one Fraction per term
+        partial = sum(Fraction(1, k << k) for k in range(1, terms + 1))
+        assert ln2_enclosure(terms) == (partial, partial + Fraction(1, (terms + 1) << terms))
+
+
+def _gap_exponent_samples():
+    rng = random.Random(0x6A9)
+    yield from (Fraction(2) ** k for k in range(-70, 71))
+    yield from (Fraction(1, d) for d in range(1, 70))
+    yield from (Fraction(n, 67) for n in range(1, 68))
+    for _ in range(2000):
+        yield Fraction(rng.randrange(1, 1 << rng.randrange(1, 90)), rng.randrange(1, 1 << rng.randrange(1, 90)))
+
+
+def test_gap_exponents_match_the_former_loops():
+    def c_upper_loop(upper):
+        c = 0
+        while Fraction(1 << c) < upper:
+            c += 1
+        return c
+
+    def c_lower_loop(lower):
+        c = 0
+        while Fraction(1, 1 << c) > lower:
+            c += 1
+        return c
+
+    for x in _gap_exponent_samples():
+        assert _ceil_log2(x) == c_upper_loop(x)
+        assert _ceil_log2(1 / x) == c_lower_loop(x)
+
+
+def test_n0_matches_the_former_scan(enum14):
+    def n0_scan(T0, t0):
+        n_star = 1
+        while Fraction(1, 1 << n_star) >= t0 - T0:
+            n_star += 1
+        n0 = n_star
+        for n in range(n_star - 1, 0, -1):
+            if bit_prefix_value(expansion_prefix(T0, n)) + Fraction(1, 1 << n) >= t0:
+                break
+            n0 = n
+        return n0
+
+    rng = random.Random(0x70)
+    pairs = [(Fraction(1, 3), Fraction(2, 3)), (T, t), (Fraction(1, 4), T), (Fraction(2, 3), Fraction(4, 5))]
+    pairs += [(T, T + Fraction(1, 1 << k)) for k in range(2, 72, 7)]
+    for _ in range(60):
+        T0 = Fraction(rng.randrange(1, 1 << 20), 1 << 20) * Fraction(rng.randrange(1, 97), 97)
+        pairs.append((T0, T0 + (1 - T0) * Fraction(1, rng.randrange(2, 1 << rng.randrange(2, 40)))))
+    for T0, t0 in pairs:
+        assert derive_constants(enum14, T0, t0).n0 == n0_scan(T0, t0)
+
+
+def test_prefix_value_is_the_expansion_prefix():
+    rng = random.Random(0x67)
+    golden = [Fraction(a, b) for a, b in ((1, 3), (2, 3), (1, 2), (3, 4), (1, 4), (4, 5), (65, 67))]
+    randoms = [Fraction(rng.randrange(1, d), d) for d in (rng.randrange(2, 1 << 64) for _ in range(100))]
+    for value in golden + randoms:
+        for n in range(1, 201):
+            assert prefix_value(value, n) == bit_prefix_value(expansion_prefix(value, n))
 
 
 def test_partial_sums_against_direct(enum14):
@@ -95,15 +162,51 @@ def test_constants_are_least(enum14, consts):
 
 
 def test_constants_validation(enum14):
-    with pytest.raises(ValueError):
-        derive_constants(enum14, t, T)  # needs T < t
-    with pytest.raises(ValueError):
-        derive_constants(enum14, Fraction(1, 2), Fraction(3, 2))
+    for build in (derive_constants, default_context):
+        with pytest.raises(ValueError):
+            build(enum14, t, T)  # needs T < t
+        with pytest.raises(ValueError):
+            build(enum14, Fraction(1, 2), Fraction(1))
+        with pytest.raises(ValueError):
+            build(enum14, Fraction(1, 2), Fraction(3, 2))
 
 
 def test_empty_stream_rejected(enum_at):
-    with pytest.raises(ReconstructFailed):
-        derive_constants(enum_at(8), T, t)
+    for build in (derive_constants, default_context):
+        with pytest.raises(ReconstructFailed):
+            build(enum_at(8), T, t)
+
+
+def test_vanished_first_term_rejected(enum14, monkeypatch):
+    # a lower bound of ln 2 at 0 takes the first term's lower bound to 0
+    monkeypatch.setattr(fixedpoint, "ln2_enclosure", lambda terms: (Fraction(0), Fraction(1)))
+    for build in (derive_constants, default_context):
+        with pytest.raises(ReconstructFailed, match="vanished"):
+            build(enum14, T, t)
+
+
+def test_table_cache_holds_one_fixedpoint_run():
+    # the phi frame's _DEPTH f(l) tables, T's table and the x = 1 table
+    assert enumerator._MAX_CACHED >= fixedpoint._DEPTH + 2
+
+
+@pytest.mark.parametrize("pair", [(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3))], ids=str)
+def test_roundtrips_build_each_table_once(machine, monkeypatch, pair):
+    T0, t0 = pair
+    enum = enumerate_domain(machine, Budget(14))
+    ctx = default_context(enum, T0, t0)
+    builds = Counter()
+    build = measures.PartialSums
+
+    def counted(lengths, x, prec):
+        builds[lengths, x, prec] += 1
+        return build(lengths, x, prec)
+
+    monkeypatch.setattr(measures, "PartialSums", counted)
+    for n in range(1, 61):
+        reconstruction_roundtrip(enum, T0, n, ctx)
+    # every (stream, x, prec) table is built once: the builds count the distinct keys
+    assert builds and sum(builds.values()) == len(builds)
 
 
 def test_upper_gap_sweep(enum14, consts):
