@@ -116,14 +116,11 @@ def cmd_fixedpoint(args) -> int:
     k_full = fixedpoint.stream_length(enum)
     span = args.t - args.T
     grid = [args.T + span * Fraction(j, args.grid + 1) for j in range(1, args.grid + 1)]
-    upper_ok = all(fixedpoint.upper_gap_sweep(enum, consts, x, args.prec) for x in grid)
+    upper_ok = fixedpoint.upper_gap_sweep(enum, consts, grid, args.prec)
     lower_ok = fixedpoint.lower_gap_sweep(enum, consts, args.t, args.prec)
     floors = [fixedpoint.check_floor_identities(consts, n) for n in range(consts.n2, consts.n2 + 64)]
     ctx = fixedpoint.default_context(enum, args.T, args.t, prec=args.prec)
-    trips = []
-    for n in range(1, args.n_max + 1):
-        trip = fixedpoint.reconstruction_roundtrip(enum, args.T, n, ctx)
-        trips.append({"n": n, "ok": trip.ok, "selector_bits": len(trip.selector)})
+    trips = fixedpoint.reconstruction_roundtrips(enum, args.T, range(1, args.n_max + 1), ctx)
     payload = {
         **enum.provenance(),
         "T": _frac_str(args.T),
@@ -138,8 +135,8 @@ def cmd_fixedpoint(args) -> int:
         "upper_gap_all_k_and_grid": upper_ok,
         "lower_gap_all_k": lower_ok,
         "floor_identities_all_n": all(a and b for a, b in floors),
-        "roundtrips": trips,
-        "roundtrip_all_ok": all(t["ok"] for t in trips),
+        "roundtrips": [{"n": trip.n, "ok": trip.ok, "selector_bits": ctx.c + 2} for trip in trips],
+        "roundtrip_all_ok": all(trip.ok for trip in trips),
         "stream_length": k_full,
     }
     _emit(payload, args.out)

@@ -206,7 +206,7 @@ class SharedRootPow2:
 
     The first time a reduced denominator den <= 64 is needed, the floor root
     floor(2**(prec + 1 - r/den)) of every residue 0 < r < den is filled from
-    one den-th root (_fill_roots); exponents of one partial-sum table reduce
+    one den-th root (_fill_roots); exponents of one partial sum reduce
     to different denominators (|s| * 5/4 gives 4, 2 or 1), so roots are kept
     per den.  The ladder's chain of square roots depends only on its working
     precision: one is kept per precision.

@@ -85,7 +85,7 @@ class CompressibleStream:
     members: tuple[str, ...]
 
     # Built once, on first use: a result keeps its streams, and most of
-    # them never feed a partial-sum table.
+    # them never feed a partial sum.
     @cached_property
     def lengths(self) -> tuple[int, ...]:
         """|s_i| for every member, in stream order."""
@@ -100,20 +100,9 @@ class CompressibleStream:
         return len(self.members)
 
 
-# Streams and partial-sum tables a result keeps, least recently used evicted
-# first so sweeps stay bounded; 64 holds the 50 tables of a fixedpoint run.
+# Streams a result keeps, least recently used evicted first, so a sweep over
+# thresholds stays bounded.  Partial sums are walked or summed, never kept.
 _MAX_CACHED = 64
-
-
-def _cached(cache: OrderedDict, key, build):
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build()
-        if len(cache) > _MAX_CACHED:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return value
 
 
 class EnumerationResult:
@@ -132,7 +121,6 @@ class EnumerationResult:
         self.machine_identity = machine_identity
         self.counts = dict(counts)
         self._streams: OrderedDict[Fraction, CompressibleStream] = OrderedDict()
-        self._sum_tables: OrderedDict[tuple, object] = OrderedDict()
 
     def provenance(self) -> dict:
         """The machine digest and budget that every artifact carries."""
@@ -194,11 +182,11 @@ class EnumerationResult:
         t = Fraction(threshold)
         if t <= 0:
             raise ValueError("threshold must be positive")
-        return _cached(self._streams, t, lambda: self._build_stream(t))
-
-    def partial_sums(self, key, build):
-        """The partial-sum table stored under key, made by build() on first use."""
-        return _cached(self._sum_tables, key, build)
+        streams = self._streams
+        streams[t] = streams.pop(t) if t in streams else self._build_stream(t)  # the last is the latest used
+        if len(streams) > _MAX_CACHED:
+            streams.popitem(last=False)
+        return streams[t]
 
     def _build_stream(self, t: Fraction) -> CompressibleStream:
         # a run's programs of L bits qualify where their outputs have more

@@ -4,56 +4,58 @@ These are the effective procedures hiding inside the convergence proofs:
 given a true binary prefix of one of the sums, find how many enumeration
 terms push the partial sum past it (the cutoff), and use the first-witness
 table to produce a string the budgeted machine cannot compress.  Both
-sum families read measures.stream_sums tables: integer rows (lo, hi, e),
-kept on the result under the one key that stream_sums forms.
+sum families are read as integer rows (lo, hi, e): the cutoff walks the
+partial sums forward, and a tail is a whole sum less a prefix sum.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from .bits import pair_to_bits
 from .dyadic import DyadicInterval
-from .enumerator import EnumerationResult
-from .measures import PartialSums, stream_sums
+from .enumerator import CompressibleStream, EnumerationResult
+from .measures import Walk, _pow2_sum, _prefix
 
 
 class NoCutoff(Exception):
     """The full-budget sum never exceeds the given prefix value."""
 
 
-def _mode_sums(enum: EnumerationResult, T, mode: str, prec: int) -> PartialSums:
-    """Partial-sum table of one of the two sum families, for 0 < T <= 1.
+def _mode_stream(enum: EnumerationResult, T, mode: str) -> tuple[CompressibleStream, Fraction]:
+    """The stream and temperature of one of the two sum families, for 0 < T <= 1.
 
     cs mode sums 2**(-|s|/T) over strings with H_up(s) < |s|; csb mode sums
-    2**(-|s|) over strings with H_up(s) < T|s|, so every csb entry is exact.
+    2**(-|s|) over strings with H_up(s) < T|s|, so every csb term is exact.
     """
     t = Fraction(T)
     if not 0 < t <= 1:
         raise ValueError("cutoff and tail need 0 < T <= 1")
     if mode == "cs":
-        return stream_sums(enum, t, prec)
+        return enum.compressible_stream(1), t
     if mode == "csb":
-        return stream_sums(enum, 1, prec, threshold=t)
+        return enum.compressible_stream(t), Fraction(1)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _cutoff(walk: Walk, alpha_prefix: str) -> int:
+    """Least k >= the walk's position whose row's lower end exceeds 0.alpha_prefix; the walk stops there.
+
+    Lower ends, compared exactly, keep the strict inequality sound under outward rounding.
+    """
+    alpha = int(alpha_prefix or "0", 2)
+    while walk.row[0] << len(alpha_prefix) <= alpha << walk.row[2]:
+        if next(walk, None) is None:
+            raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
+    return walk.k
 
 
 def find_cutoff(
     enum: EnumerationResult, alpha_prefix: str, T=1, mode: str = "cs", prec: int = 64
 ) -> int:
-    """Least k with (certified lower bound of) sum of first k terms > 0.alpha_prefix.
-
-    Rows' lower ends, compared as integers over 2**top, keep the strict
-    inequality sound under outward rounding, and never decrease along the table.
-    """
-    rows = _mode_sums(enum, T, mode, prec).full()
-    top = max(rows[-1][2], len(alpha_prefix))
-    alpha = (int(alpha_prefix, 2) if alpha_prefix else 0) << (top - len(alpha_prefix))
-    k = bisect_right(rows, alpha, key=lambda row: row[0] << (top - row[2]))
-    if k == len(rows):
-        raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
-    return k
+    """Least k with (certified lower bound of) sum of first k terms > 0.alpha_prefix."""
+    stream, x = _mode_stream(enum, T, mode)
+    return _cutoff(Walk(stream.lengths, x, prec), alpha_prefix)
 
 
 def extract_incompressible(
@@ -98,9 +100,10 @@ def tail_after_cutoff(
 ) -> DyadicInterval:
     """Enclosure of the sum of terms strictly after position k, 0 <= k <= K.
 
-    The difference S_K - S_k of two table rows: exact on exact tables,
+    The whole sum S_K less the prefix sum S_k: exact on exact streams,
     otherwise wider than the sum of the tail's own enclosures by twice the
     width of S_k.
     """
-    sums = _mode_sums(enum, T, mode, prec)
-    return DyadicInterval.from_row(sums.full()[-1]) - DyadicInterval.from_row(sums.row(k))
+    stream, x = _mode_stream(enum, T, mode)
+    head = _pow2_sum(_prefix(stream.lengths, k), x, prec)
+    return DyadicInterval.from_row(_pow2_sum(stream.histogram, x, prec)) - DyadicInterval.from_row(head)

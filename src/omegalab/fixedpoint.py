@@ -14,16 +14,16 @@ so every inequality check is sound.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .bits import expansion_prefix, pair_to_bits
 from .dyadic import Dyadic, DyadicInterval
 from .enumerator import EnumerationResult
-from .extractor import NoCutoff, find_cutoff, tail_after_cutoff
+from .extractor import NoCutoff, _cutoff
 from .machine import Machine, OutcomeKind, phi
-from .measures import PartialSums, _pow2_sum, cst_lower, stream_sums
+from .measures import Walk, _pow2_sum, _prefix, cs_lower, cst_lower
 
 
 class ReconstructFailed(Exception):
@@ -41,15 +41,12 @@ def ln2_enclosure(terms: int = 64) -> tuple[Fraction, Fraction]:
 
 def z_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} 2**(-|s_i|/x); exact when the exponents are integers."""
-    return DyadicInterval.from_row(stream_sums(enum, x, prec).row(k))
+    return DyadicInterval.from_row(_pow2_sum(_prefix(enum.compressible_stream(1).lengths, k), x, prec))
 
 
 def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} |s_i| 2**(-|s_i|/x), in one pass that keeps nothing."""
-    lengths = enum.compressible_stream(1).lengths
-    if not 0 <= k <= len(lengths):
-        raise ValueError(f"k={k} out of range (stream length {len(lengths)})")
-    prefix = Counter(lengths[:k])
+    prefix = _prefix(enum.compressible_stream(1).lengths, k)
     return DyadicInterval.from_row(_pow2_sum({l: l * n for l, n in prefix.items()}, x, prec))
 
 
@@ -167,7 +164,8 @@ def _lower_point(constants: GapConstants, t) -> Fraction:
 def check_upper_gap(enum, k: int, constants: GapConstants, x, prec: int = 96) -> bool:
     """Certified instance of: Z_k(x) - Z_k(T) < 2**c_upper (x - T)."""
     x = _upper_point(constants, x)
-    zx, zT = stream_sums(enum, x, prec).row(k), stream_sums(enum, constants.T, prec).row(k)
+    prefix = _prefix(enum.compressible_stream(1).lengths, k)
+    zx, zT = _pow2_sum(prefix, x, prec), _pow2_sum(prefix, constants.T, prec)
     return _upper_holds(zx, zT, x - constants.T, constants.c_upper)
 
 
@@ -176,31 +174,31 @@ def check_lower_gap(enum, k: int, constants: GapConstants, t, prec: int = 96) ->
     if k < 1:
         raise ValueError("lower gap needs k >= 1 (the first stream element)")
     t = _lower_point(constants, t)
-    zt, zT = stream_sums(enum, t, prec).row(k), stream_sums(enum, constants.T, prec).row(k)
+    prefix = _prefix(enum.compressible_stream(1).lengths, k)
+    zt, zT = _pow2_sum(prefix, t, prec), _pow2_sum(prefix, constants.T, prec)
     return _lower_holds(zt, zT, t - constants.T, constants.c_lower)
 
 
-def upper_gap_sweep(enum, constants: GapConstants, x, prec: int = 96) -> bool:
-    """check_upper_gap at every k = 0 .. stream length, decided at k = K alone.
+def upper_gap_sweep(enum, constants: GapConstants, xs, prec: int = 96) -> bool:
+    """check_upper_gap at every x in xs and k = 0 .. stream length, decided at k = K alone.
 
     The left side Z_k(x).hi - Z_k(T).lo grows with k: step k adds
     hi(2**(-l_k/x)) - lo(2**(-l_k/T)) > 0, since x > T and l_k >= 1 put
     2**(-l_k/x) strictly above 2**(-l_k/T).  The right side does not depend
     on k, so the inequality holds at every k iff it holds at k = K.
     """
-    x = _upper_point(constants, x)
-    zx = _pow2_sum(enum.compressible_stream(1).histogram, x, prec)
-    zT = stream_sums(enum, constants.T, prec).full()[-1]
-    return _upper_holds(zx, zT, x - constants.T, constants.c_upper)
+    xs = [_upper_point(constants, x) for x in xs]
+    histogram = enum.compressible_stream(1).histogram
+    zT = _pow2_sum(histogram, constants.T, prec)
+    return all(_upper_holds(_pow2_sum(histogram, x, prec), zT, x - constants.T, constants.c_upper) for x in xs)
 
 
 def lower_gap_sweep(enum, constants: GapConstants, t, prec: int = 96) -> bool:
-    """check_lower_gap at every k = 1 .. stream length: one walk of t's table, not kept, and T's."""
+    """check_lower_gap at every k = 1 .. stream length: the walks at t and T side by side, keeping no row."""
     t = _lower_point(constants, t)
-    zt = PartialSums(enum.compressible_stream(1).lengths, t, prec).full()
-    zT = stream_sums(enum, constants.T, prec).full()
+    zt, zT = (Walk(enum.compressible_stream(1).lengths, x, prec) for x in (t, constants.T))
     gap, c = t - constants.T, constants.c_lower
-    return all(_lower_holds(a, b, gap, c) for a, b in zip(zt[1:], zT[1:]))
+    return all(_lower_holds(a, b, gap, c) for a, b in zip(zt, zT))
 
 
 def check_floor_identities(constants: GapConstants, n: int) -> tuple[bool, bool]:
@@ -279,19 +277,23 @@ class _Frame:
     t_n: str
 
 
-def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiContext) -> _Frame:
-    """Cutoff k0 and the n-bit expansion of the first f(l0) with Z_k0(f(l0)) < some g(m0)."""
+def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiContext, walk=None) -> _Frame:
+    """Cutoff k0 and the n-bit expansion of the first f(l0) with Z_k0(f(l0)) < some g(m0).
+
+    walk(x) is the stream's one Walk at x; a caller whose prefixes never decrease passes one.
+    """
     if n < 1:
         raise ReconstructFailed("n must be positive")
+    walk = walk or cache(partial(Walk, enum.compressible_stream(1).lengths, prec=ctx.prec))
     try:
-        k0 = find_cutoff(enum, cs_prefix)
+        k0 = _cutoff(walk(Fraction(1)), cs_prefix)
     except NoCutoff:
         raise ReconstructFailed("partial sums never exceed the given prefix") from None
     # Some g(m) exceeds z_hi exactly when the largest does; z_hi > 0, so an
     # empty g certifies nothing.
     g_max = max(ctx.g, default=0)
     for f_l in ctx.f:
-        _, hi, e = stream_sums(enum, f_l, ctx.prec).row(k0)
+        _, hi, e = walk(f_l).to(k0)
         if hi * g_max.denominator < g_max.numerator << e:
             return _Frame(k0, expansion_prefix(f_l, n))
     raise ReconstructFailed("no certified (l0, m0) pair within the context tables")
@@ -335,33 +337,51 @@ class RoundTrip:
     reconstructed: str
     expected: str
     tail_certified: bool
-    k0: int
+    k0: int | None  # None where the frame search or selector failed
 
     @property
     def ok(self) -> bool:
         return self.reconstructed == self.expected and self.tail_certified
 
 
-def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext) -> RoundTrip:
-    """Full self-consistency pass at one n.
+def reconstruction_roundtrips(enum: EnumerationResult, T, ns, ctx: PhiContext) -> list[RoundTrip]:
+    """Full self-consistency pass at each n of ns, which must strictly increase.
 
-    Feeds the true ceil(T n)-bit prefix of the compressible-string sum
-    (expansion with infinitely many ones, so the prefix value is strictly
+    At each n, feeds the true ceil(T n)-bit prefix of the compressible-string
+    sum (expansion with infinitely many ones, so the prefix value is strictly
     below the sum), derives the correct selector, reconstructs, and also
-    certifies the tail bound sum_{i>k0} 2**(-|s_i|/T) < 2**-n.
+    certifies the tail bound sum_{i>k0} 2**(-|s_i|/T) < 2**-n.  An n whose
+    frame search or selector fails is not ok.  The prefixes nest, so k0 never
+    decreases, and one walk per temperature serves every n.
     """
     T = Fraction(T)
-    # cs_lower(enum), the last row of the exact x = 1 table that find_cutoff walks
-    lo, _, e = stream_sums(enum, 1, ctx.prec).full()[-1]
-    if lo == 0:
+    whole = cst_lower(enum, T, ctx.prec)  # checks 0 < T <= 1
+    ns = list(ns)
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("ns must strictly increase")
+    cs = cs_lower(enum).as_fraction()
+    if cs == 0:
         raise ReconstructFailed("compressible-string sum is zero at this budget")
-    m = -((-T.numerator * n) // T.denominator)  # ceil(T n)
-    prefix = expansion_prefix(Fraction(lo, 1 << e), m, ones=True)
-    frame = _candidate_frame(enum, n, prefix, ctx)
-    selector = _selector(frame, n, T, ctx.c)
-    rebuilt = candidate_at(frame.t_n, ctx.c, int(selector, 2))
-    tail_ok = tail_after_cutoff(enum, frame.k0, T, "cs", ctx.prec).hi < Dyadic.pow2(n)
-    return RoundTrip(n, prefix, selector, rebuilt, expansion_prefix(T, n), tail_ok, frame.k0)
+    walk = cache(partial(Walk, enum.compressible_stream(1).lengths, prec=ctx.prec))
+    trips = []
+    for n in ns:
+        prefix = expansion_prefix(cs, -((-T.numerator * n) // T.denominator), ones=True)  # ceil(T n) bits
+        expected = expansion_prefix(T, n)
+        try:
+            frame = _candidate_frame(enum, n, prefix, ctx, walk)
+            selector = _selector(frame, n, T, ctx.c)
+        except ReconstructFailed:
+            trips.append(RoundTrip(n, prefix, "", "", expected, False, None))
+            continue
+        rebuilt = candidate_at(frame.t_n, ctx.c, int(selector, 2))
+        tail = whole - DyadicInterval.from_row(walk(T).to(frame.k0))
+        trips.append(RoundTrip(n, prefix, selector, rebuilt, expected, tail.hi < Dyadic.pow2(n), frame.k0))
+    return trips
+
+
+def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext) -> RoundTrip:
+    """reconstruction_roundtrips at the one n."""
+    return reconstruction_roundtrips(enum, T, [n], ctx)[0]
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,18 @@ introduce terms 2**(-num/den) which are enclosed by outward-rounded
 intervals of per-term width <= 2**-prec.  No floating point anywhere.
 Inside the package a sum stays an integer row (lo, hi, e), the enclosure
 [lo/2**e, hi/2**e]; DyadicInterval.from_row wraps one only where a public
-function returns it.  Tables of rows are kept under (threshold, x, prec),
-or (threshold, x) when every row is exact.
+function returns it.
 A whole sum reads only per-length counts: the result's halts for the
-halting sums, a stream's length histogram for the others.
+halting sums, a stream's length histogram for the others.  A partial sum
+S_k is the whole sum of the first k lengths' histogram, or a forward Walk
+where S_k is read at many k in order; no table of rows is kept.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 
 from .dyadic import Dyadic, DyadicInterval, SharedRootPow2
 from .enumerator import EnumerationResult
@@ -68,46 +70,29 @@ def _running_sums(pow2: SharedRootPow2, terms, x: Fraction):
         yield lo, hi, e
 
 
-class PartialSums:
-    """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a fixed length sequence.
+class Walk:
+    """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a length sequence, read forward.
 
-    Rows (lo, hi, e) as _running_sums yields them, grown only as far as asked.
+    It holds its position k and row S_k, as _running_sums yields it, and no other row.
     """
 
-    __slots__ = ("lengths", "rows", "_running")
+    def __init__(self, lengths, x, prec: int):
+        self.k, self.row = 0, (0, 0, 0)
+        self._running = _running_sums(SharedRootPow2(prec), zip(lengths, repeat(1)), _as_temperature(x))
 
-    def __init__(self, lengths: tuple[int, ...], x: Fraction, prec: int):
-        self.lengths = lengths
-        self.rows = [(0, 0, 0)]
-        self._running = _running_sums(SharedRootPow2(prec), zip(lengths, repeat(1)), Fraction(x))
+    def __iter__(self):
+        return self
 
-    def row(self, k: int) -> tuple[int, int, int]:
-        """Row k, for 0 <= k <= len(lengths)."""
-        if not 0 <= k <= len(self.lengths):
-            raise ValueError(f"k={k} out of range (stream length {len(self.lengths)})")
-        rows = self.rows
-        if k >= len(rows):
-            rows.extend(islice(self._running, k + 1 - len(rows)))
-        return rows[k]
+    def __next__(self) -> tuple[int, int, int]:
+        self.row = next(self._running)
+        self.k += 1
+        return self.row
 
-    def full(self) -> list[tuple[int, int, int]]:
-        """Every row S_0 .. S_K, K the number of lengths."""
-        self.row(len(self.lengths))
-        return self.rows
-
-
-def stream_sums(enum: EnumerationResult, x, prec: int, threshold=1) -> PartialSums:
-    """Partial-sum table over the compressible stream at threshold, at temperature x.
-
-    Kept on the result under (threshold, x, prec), so cs and csb share it at
-    T = 1.  At x = 1/q every exponent l/x is an integer and every row exact
-    at any prec, so the key is (threshold, x) alone.  Ask only to read it at
-    several k; a whole sum is _pow2_sum's job.
-    """
-    x = _as_temperature(x)
-    lengths = enum.compressible_stream(threshold).lengths
-    key = (Fraction(threshold), x) + ((prec,) if x.numerator != 1 else ())
-    return enum.partial_sums(key, lambda: PartialSums(lengths, x, prec))
+    def to(self, k: int) -> tuple[int, int, int]:
+        """Row k, for the walk's position <= k <= the number of lengths."""
+        while self.k < k:
+            next(self)
+        return self.row
 
 
 def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
@@ -115,12 +100,19 @@ def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
 
     This is _running_sums' last value: exact integers added at the largest
     exponent, so no grouping or order of the terms changes it, and it equals
-    the term-by-term sum (the last PartialSums row) bit for bit.
+    the term-by-term sum (a Walk's last row) bit for bit.
     """
     row = (0, 0, 0)
-    for row in _running_sums(SharedRootPow2(prec), histogram.items(), Fraction(x)):
+    for row in _running_sums(SharedRootPow2(prec), histogram.items(), _as_temperature(x)):
         pass
     return row
+
+
+def _prefix(lengths, k: int) -> Counter:
+    """Histogram of the first k lengths, 0 <= k <= len(lengths): its _pow2_sum is a Walk's row k."""
+    if not 0 <= k <= len(lengths):
+        raise ValueError(f"k={k} out of range (stream length {len(lengths)})")
+    return Counter(lengths[:k])
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:

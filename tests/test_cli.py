@@ -96,6 +96,22 @@ def test_fixedpoint(log14, capsys):
     assert d["floor_identities_all_n"] and d["roundtrip_all_ok"]
 
 
+def test_fixedpoint_reports_failed_roundtrips(enum18, tmp_path, capsys):
+    # at L = 18 the frame search for (2/3, 4/5) finds no certified pair from n = 50 on
+    log = tmp_path / "log18.jsonl"
+    write_log(enum18, log)
+    runs = {}
+    for n_max in ("49", "60"):
+        capsys.readouterr()
+        assert main(["fixedpoint", "--T", "2/3", "--t", "4/5", "--n-max", n_max, "--log", str(log)]) == 0
+        runs[n_max] = json.loads(capsys.readouterr().out)
+    trips = runs["60"]["roundtrips"]
+    c = runs["60"]["constants"]["c_lower"]
+    assert trips[:49] == runs["49"]["roundtrips"] and runs["49"]["roundtrip_all_ok"]
+    assert trips[49:] == [{"n": n, "ok": False, "selector_bits": c + 2} for n in range(50, 61)]
+    assert runs["60"]["roundtrip_all_ok"] is False
+
+
 def test_fixedpoint_checks_64_floor_identities_from_n2(log14, capsys, monkeypatch):
     # t = T + 2**-71 puts n2 at 72, past 64
     checked = []

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 
@@ -8,14 +9,13 @@ from omegalab.bits import expansion_prefix, pair_to_bits
 from omegalab.dyadic import Dyadic, DyadicInterval, pow2_enclosure
 from omegalab.extractor import (
     NoCutoff,
-    _mode_sums,
     extract_incompressible,
     find_cutoff,
     tail_after_cutoff,
     verify_incompressible,
 )
 from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
-from omegalab.measures import cs_lower
+from omegalab.measures import Walk, cs_lower
 
 
 def test_cutoff_on_true_prefix(enum14):
@@ -59,9 +59,30 @@ def test_cutoff_on_prefixes_longer_than_the_table_exponent(enum_at, L, mode, T):
         assert find_cutoff(enum, pair_to_bits(exact - 1, bits), T, mode) == k
 
 
-def test_cs_and_csb_share_one_table_at_threshold_1(enum14):
-    for prec in (8, 64):
-        assert _mode_sums(enum14, 1, "cs", prec) is _mode_sums(enum14, 1, "csb", prec)
+def bisect_cutoff(rows, alpha_prefix):
+    """The cutoff as a table read it, kept as the oracle: bisect the full row list's lower ends."""
+    top = max(rows[-1][2], len(alpha_prefix))
+    alpha = (int(alpha_prefix, 2) if alpha_prefix else 0) << (top - len(alpha_prefix))
+    k = bisect_right(rows, alpha, key=lambda row: row[0] << (top - row[2]))
+    return None if k == len(rows) else k
+
+
+@pytest.mark.parametrize("L", [14, 18])
+@pytest.mark.parametrize("mode, T", [("cs", Fraction(1)), ("cs", Fraction(2, 3)), ("csb", Fraction(2, 3))], ids=str)
+def test_cutoff_walk_matches_bisect_over_the_rows(enum_at, L, mode, T):
+    enum = enum_at(L)
+    stream = enum.compressible_stream(1 if mode == "cs" else T)
+    x = T if mode == "cs" else 1
+    rows = [(0, 0, 0), *Walk(stream.lengths, x, 64)]
+    total = DyadicInterval.from_row(rows[-1]).lo.as_fraction()
+    prefixes = [""] + [expansion_prefix(total, m, ones=True) for m in range(1, 40)] + ["1" * 16]
+    for prefix in prefixes:
+        want = bisect_cutoff(rows, prefix)
+        if want is None:
+            with pytest.raises(NoCutoff):
+                find_cutoff(enum, prefix, T, mode)
+        else:
+            assert find_cutoff(enum, prefix, T, mode) == want
 
 
 def test_extract_matches_bruteforce(enum14):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from omegalab import enumerator, fixedpoint, measures
+from omegalab import fixedpoint
 from omegalab.bits import bit_prefix_value, expansion_prefix
 from omegalab.dyadic import DyadicInterval
 from omegalab.enumerator import Budget, CompressibleStream, EnumerationResult, enumerate_domain
@@ -30,6 +30,7 @@ from omegalab.fixedpoint import (
     phi_reconstruct,
     prefix_value,
     reconstruction_roundtrip,
+    reconstruction_roundtrips,
     stream_length,
     true_selector,
     upper_gap_sweep,
@@ -38,7 +39,7 @@ from omegalab.fixedpoint import (
 )
 from omegalab.machine import Machine, ReversePayloadDecoder, raw_program
 from omegalab.bits import gamma_encode, nat_to_string
-from omegalab.measures import cs_lower, cst_lower, stream_sums
+from omegalab.measures import Walk, cs_lower, cst_lower
 
 T = Fraction(1, 2)
 t = Fraction(3, 4)
@@ -185,28 +186,43 @@ def test_vanished_first_term_rejected(enum14, monkeypatch):
             build(enum14, T, t)
 
 
-def test_table_cache_holds_one_fixedpoint_run():
-    # the phi frame's _DEPTH f(l) tables, T's table and the x = 1 table
-    assert enumerator._MAX_CACHED >= fixedpoint._DEPTH + 2
+PAIRS = [(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(4, 5))]
 
 
-@pytest.mark.parametrize("pair", [(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3))], ids=str)
-def test_roundtrips_build_each_table_once(machine, monkeypatch, pair):
+@pytest.mark.parametrize("pair", PAIRS, ids=str)
+def test_roundtrips_walk_each_temperature_once(enum14, monkeypatch, pair):
     T0, t0 = pair
-    enum = enumerate_domain(machine, Budget(14))
+    ctx = default_context(enum14, T0, t0)
+    walks = Counter()
+
+    class Counted(Walk):
+        def __init__(self, lengths, x, prec):
+            walks[Fraction(x)] += 1
+            super().__init__(lengths, x, prec)
+
+    monkeypatch.setattr(fixedpoint, "Walk", Counted)
+    trips = reconstruction_roundtrips(enum14, T0, range(1, 61), ctx)
+    assert [trip.n for trip in trips] == list(range(1, 61))
+    # x = 1 for the cutoff, T for the tail, and the f(l) the frames read
+    assert {1, T0} < set(walks) <= {1, T0, *ctx.f}
+    assert set(walks.values()) == {1}
+
+
+@pytest.mark.parametrize("registry", [{}, {1: ReversePayloadDecoder()}], ids=["none", "reverse1"])
+@pytest.mark.parametrize("pair", PAIRS, ids=str)
+def test_roundtrip_loop_equals_one_roundtrip_per_n(registry, pair):
+    enum = enumerate_domain(Machine(registry), Budget(14))
+    T0, t0 = pair
     ctx = default_context(enum, T0, t0)
-    builds = Counter()
-    build = measures.PartialSums
+    ns = range(1, 61)
+    assert reconstruction_roundtrips(enum, T0, ns, ctx) == [reconstruction_roundtrip(enum, T0, n, ctx) for n in ns]
 
-    def counted(lengths, x, prec):
-        builds[lengths, x, prec] += 1
-        return build(lengths, x, prec)
 
-    monkeypatch.setattr(measures, "PartialSums", counted)
-    for n in range(1, 61):
-        reconstruction_roundtrip(enum, T0, n, ctx)
-    # every (stream, x, prec) table is built once: the builds count the distinct keys
-    assert builds and sum(builds.values()) == len(builds)
+def test_roundtrip_loop_needs_increasing_n(enum14, ctx):
+    assert reconstruction_roundtrips(enum14, T, [], ctx) == []
+    for ns in ([3, 2], [2, 2], [1, 5, 4]):
+        with pytest.raises(ValueError, match="strictly increase"):
+            reconstruction_roundtrips(enum14, T, ns, ctx)
 
 
 def test_upper_gap_sweep(enum14, consts):
@@ -246,7 +262,7 @@ def assert_sweeps_match_per_k(enum, T0, t0):
         while False not in seen:
             assert c > base.c_upper - 64, "upper sweep never failed"
             tight = replace(base, c_upper=c)
-            seen.append(upper_gap_sweep(enum, tight, x))
+            seen.append(upper_gap_sweep(enum, tight, [x]))
             per_k = [check_upper_gap(enum, k, tight, x) for k in ks]
             assert per_k == [upper_in_fractions(enum, k, tight, x) for k in ks]
             assert seen[-1] == all(per_k)
@@ -264,7 +280,7 @@ def assert_sweeps_match_per_k(enum, T0, t0):
         c -= 1
     assert True in seen
     with pytest.raises(ValueError):
-        upper_gap_sweep(enum, base, t0)
+        upper_gap_sweep(enum, base, [(T0 + t0) / 2, t0])
     with pytest.raises(ValueError):
         lower_gap_sweep(enum, base, 1)
 
@@ -353,7 +369,8 @@ def test_roundtrip_selected_n(enum14, ctx):
 @pytest.mark.parametrize("max_len, registry", [(14, {}), (18, {}), (14, {1: ReversePayloadDecoder()})])
 def test_roundtrip_reads_cs_lower_from_the_cutoff_table(max_len, registry):
     enum = enumerate_domain(Machine(registry), Budget(max_len))
-    last = DyadicInterval.from_row(stream_sums(enum, 1, 64).full()[-1])
+    lengths = enum.compressible_stream(1).lengths
+    last = DyadicInterval.from_row(Walk(lengths, 1, 64).to(len(lengths)))
     assert last.lo == last.hi == cs_lower(enum)
     ctx = default_context(enum, T, t)
     for n in (1, 5, 12):

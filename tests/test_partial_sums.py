@@ -1,9 +1,9 @@
-"""Partial-sum tables and the caches on EnumerationResult.
+"""Partial sums, walked forward or taken whole, and the stream cache on EnumerationResult.
 
-The oracle is the per-term loop the tables replaced: one pow2_enclosure per
+The oracle is the per-term loop the sums replaced: one pow2_enclosure per
 stream element, added interval by interval.  Dyadic sums are exact, so
-every table row, made an interval by DyadicInterval.from_row, must equal
-the oracle's running sum bit for bit.
+every row, made an interval by DyadicInterval.from_row, must equal the
+oracle's running sum bit for bit.
 """
 
 from collections import Counter
@@ -15,19 +15,17 @@ from hypothesis import strategies as st
 
 from omegalab import enumerator
 from omegalab.dyadic import DyadicInterval, pow2_enclosure
-from omegalab.bits import expansion_prefix
 from omegalab.enumerator import CompressibleStream
-from omegalab.extractor import find_cutoff, tail_after_cutoff
 from omegalab.fixedpoint import (
     default_context,
     derive_constants,
     lower_gap_sweep,
-    reconstruction_roundtrip,
+    reconstruction_roundtrips,
     upper_gap_sweep,
     w_k,
     z_k,
 )
-from omegalab.measures import PartialSums, _pow2_sum, cs_lower, cst_lower, stream_sums
+from omegalab.measures import Walk, _pow2_sum, _prefix, cst_lower
 
 # 65/67 sends l*67/65 to the square-root ladder unless 5 or 13 divides l (den 65 > 64);
 # the fixedpoint grid points 35/68, 49/68 and 25/51 reduce l*q/p to several
@@ -62,9 +60,12 @@ def oracle_prefix_sums(lengths, x, prec, weighted):
 @pytest.mark.parametrize("prec", PRECISIONS)
 def test_table_entries_match_per_term_loop(enum14, x, prec):
     lengths = enum14.compressible_stream(1).lengths
-    table = stream_sums(enum14, x, prec)
-    rows = [DyadicInterval.from_row(table.row(k)) for k in range(len(lengths) + 1)]
-    assert rows == oracle_prefix_sums(lengths, x, prec, False)
+    walk = Walk(lengths, x, prec)
+    rows = [DyadicInterval.from_row(walk.to(k)) for k in range(len(lengths) + 1)]
+    oracle = oracle_prefix_sums(lengths, x, prec, False)
+    assert rows == oracle
+    for k in (0, 1, 2, len(lengths) // 2, len(lengths)):
+        assert DyadicInterval.from_row(_pow2_sum(_prefix(lengths, k), x, prec)) == oracle[k]
     want = oracle_prefix_sums(lengths, x, prec, True)
     for k in (0, 1, 2, len(lengths) // 2, len(lengths)):
         assert w_k(enum14, k, x, prec) == want[k]
@@ -76,59 +77,37 @@ def test_table_entries_match_per_term_loop(enum14, x, prec):
 def test_table_entries_match_per_term_loop_l18(enum18, x):
     lengths = enum18.compressible_stream(1).lengths
     assert len(lengths) == len(set(lengths)) == 499  # no two members share a length
-    rows = [DyadicInterval.from_row(row) for row in stream_sums(enum18, x, 64).full()]
-    assert rows == oracle_prefix_sums(lengths, x, 64, False)
+    rows = [DyadicInterval.from_row(row) for row in Walk(lengths, x, 64)]
+    assert rows == oracle_prefix_sums(lengths, x, 64, False)[1:]
 
 
 def test_tables_grow_only_as_asked(enum14):
     x = Fraction(7, 11)
-    table = stream_sums(enum14, x, 64)
-    assert z_k(enum14, 3, x) == DyadicInterval.from_row(table.row(3))
-    assert len(table.rows) == 4
+    lengths = enum14.compressible_stream(1).lengths
+    walk = Walk(lengths, x, 64)
+    assert z_k(enum14, 3, x) == DyadicInterval.from_row(walk.to(3))
+    assert walk.k == 3 and walk.to(3) == walk.row
+    assert next(walk) == walk.to(4) == _pow2_sum(_prefix(lengths, 4), x, 64)
     assert w_k(enum14, 2, x).hi > DyadicInterval.zero().hi
-    with pytest.raises(ValueError):
-        table.row(len(table.lengths) + 1)
-    with pytest.raises(ValueError):
-        table.row(-1)
+    last = walk.to(len(lengths))
+    with pytest.raises(StopIteration):
+        next(walk)
+    assert (walk.k, walk.row) == (len(lengths), last)
+    for k in (-1, len(lengths) + 1):
+        with pytest.raises(ValueError):
+            _prefix(lengths, k)
 
 
-def test_only_reread_tables_are_cached(machine):
-    # a fresh result, so no other test's lookups are in its cache
-    res = enumerator.enumerate_domain(machine, enumerator.Budget(14))
-    T, t = Fraction(2, 3), Fraction(4, 5)
-    consts = derive_constants(res, T, t)
-    grid = [T + (t - T) * Fraction(j, 5) for j in range(1, 5)]
-    assert all(upper_gap_sweep(res, consts, x) for x in grid)
-    assert lower_gap_sweep(res, consts, t)
-    # keys are (threshold, x, prec); checked before the context's lookups could evict anything
-    assert not [key for key in res._sum_tables if key[1] in grid or key[1] == t]
-    default_context(res, T, t)
-    cst_lower(res, Fraction(5, 7))
-    keys = list(res._sum_tables)
-    assert not [key for key in keys if key[1] in grid or key[1] in (t, Fraction(5, 7))]
-    # T's own table is read by both sweeps; the context's one bound is a one-pass sum
-    assert [key for key in keys if key[1] == T] == [(1, T, 96)]
-
-
-def test_exact_tables_are_kept_once_at_any_precision(machine):
-    """At x = 1/q every row is exact: one table per (threshold, x), whatever prec reads it."""
-    res = enumerator.enumerate_domain(machine, enumerator.Budget(14))
-    T = Fraction(1, 2)
-    # the round trip first: its f tables are inexact, and the lookups below find the exact ones kept
-    assert reconstruction_roundtrip(res, T, 8, default_context(res, T, Fraction(3, 4))).ok
-    prefix = expansion_prefix(cs_lower(res).as_fraction(), 8, ones=True)
-    for prec in (8, 64, 96):
-        find_cutoff(res, prefix, prec=prec)
-        find_cutoff(res, "0", Fraction(2, 3), "csb", prec)
-        tail_after_cutoff(res, 3, T, "cs", prec)
-        z_k(res, 5, T, prec)
-    exact = {key: table for key, table in res._sum_tables.items() if key[1].numerator == 1}
-    assert set(exact) == {(1, 1), (1, T), (Fraction(2, 3), 1)}
-    assert all(len(key) == 3 for key in res._sum_tables if key not in exact)
-    for (threshold, x), table in exact.items():
-        lengths = res.compressible_stream(threshold).lengths
-        for prec in (8, 64, 96):
-            assert table.full() == PartialSums(lengths, x, prec).full()
+@pytest.mark.parametrize("threshold", [Fraction(1), Fraction(2, 3)], ids=str)
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(1, 2), Fraction(1, 3)], ids=str)
+def test_exact_sums_are_the_same_at_any_precision(enum14, threshold, x):
+    """At x = 1/q every exponent l/x is an integer, so every partial sum is exact whatever prec reads it."""
+    lengths = enum14.compressible_stream(threshold).lengths
+    rows = list(Walk(lengths, x, 8))
+    assert all(lo == hi for lo, hi, _ in rows)
+    for prec in (1, 64, 96, 200):
+        assert list(Walk(lengths, x, prec)) == rows
+        assert _pow2_sum(enum14.compressible_stream(threshold).histogram, x, prec) == rows[-1]
 
 
 def test_streams_built_once(enum14):
@@ -137,17 +116,29 @@ def test_streams_built_once(enum14):
 
 def test_table_cache_is_bounded(machine):
     res = enumerator.enumerate_domain(machine, enumerator.Budget(14))
-    xs = [Fraction(1, 2) + Fraction(j, 4000) for j in range(1, 1001)]
-    for x in xs:
-        z_k(res, 1, x)
-        assert len(res._sum_tables) <= enumerator._MAX_CACHED
-    for j in range(1, 1001):
-        res.compressible_stream(Fraction(j, 1000))
+    thresholds = [Fraction(j, 1000) for j in range(1, 1001)]
+    for threshold in thresholds:
+        res.compressible_stream(threshold)
     assert len(res._streams) <= enumerator._MAX_CACHED
     # least recently used goes first: the last lookups are still cached
-    last = stream_sums(res, xs[-1], 64)
-    assert stream_sums(res, xs[-1], 64) is last
-    assert (1, xs[0], 64) not in res._sum_tables
+    last = res.compressible_stream(thresholds[-1])
+    assert res.compressible_stream(thresholds[-1]) is last
+    assert thresholds[0] not in res._streams
+
+
+def test_no_fixedpoint_path_keeps_partial_sums(machine):
+    """Constants, both sweeps, the context and a round-trip loop walk or sum: nothing keeps a row."""
+    res = enumerator.enumerate_domain(machine, enumerator.Budget(16))
+    T, t = Fraction(1, 2), Fraction(3, 4)
+    consts = derive_constants(res, T, t)
+    assert upper_gap_sweep(res, consts, [T + (t - T) * Fraction(j, 5) for j in range(1, 5)])
+    assert lower_gap_sweep(res, consts, t)
+    ctx = default_context(res, T, t)
+    assert all(trip.ok for trip in reconstruction_roundtrips(res, T, range(1, 25), ctx))
+    assert set(vars(res)) == {"runs", "halts", "budget", "machine_digest", "machine_identity", "counts", "_streams"}
+    assert res._streams
+    for stream in res._streams.values():
+        assert set(vars(stream)) <= {"threshold", "members", "lengths", "histogram"}
 
 
 def test_stream_membership(enum14):
