@@ -21,14 +21,14 @@ This module is the only place that knows the table, submachine rows
 included, and the only one that names a program's outcome: HALT,
 NEEDS_INPUT, HALTED_EARLY, OUT_OF_BUDGET and NO_SUCH_SUBMACHINE are the
 strings logs count under and OutcomeKind takes its values from.  It reads
-the table three ways: decode_pair runs one program, generate_halts reads
-the table as a grammar, emitting the halting codeword classes of one length
-in program order and counting every outcome, and least_program reads it
-backwards, from an output to the shortest program that prints it.  A halting
-class (prefix, wlen, row) stands for the programs prefix w, one per payload
-w of wlen bits; class_strings spells its payloads out, with the program
-head they extend, their outputs and their step counts, and class_bits sums
-their program and output bits.
+the table three ways: decode_pair runs one program, generate_halts reads the
+table as a grammar, emitting the halting codeword classes of one length in
+program order and counting every outcome, and least_program reads it
+backwards, from an output to its least program.  A halting class (prefix,
+wlen, row) stands for the programs prefix w, one per payload w of wlen bits;
+class_strings spells their payloads, program head, outputs and step counts,
+class_bits sums their program and output bits, and first_printed gives the
+lengths of the outputs they print first.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -40,7 +40,7 @@ short, and no class needs a budget to be generated.
 
 from __future__ import annotations
 
-from itertools import islice, product, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter, mul
 
 from .bits import gamma_encode
@@ -211,35 +211,48 @@ def class_bits(length: int, wlen: int, row: int) -> int:
     return size * (length + _output(row, 0, wlen)[1])
 
 
-def class_strings(length: int, prefix: int, wlen: int, row: int, cut: int = -1):
-    """(head, payloads, outputs, steps) of one halting class's payloads whose outputs have more than cut bits.
+def class_strings(length: int, prefix: int, wlen: int, row: int):
+    """(head, payloads, outputs, steps) of one halting class's payloads.
 
-    Strings are bits: a payload's program is head + payload, and the kept
-    payloads come as a list.  steps is (first, grow): the first payload kept
+    Strings are bits: a payload's program is head + payload, and the
+    payloads come as a list.  steps is (first, grow): the first payload
     takes first steps, its reads, output bits and one halt, and each next
-    one grow more, 1 on the zero-run row and 0 on the others.  No output is
-    shorter than the one before it, so the payloads kept are a suffix: all
-    or none on rows 0, 1 and REVERSE, whose outputs share one length, and on
-    the zero-run row those from w = cut + 1 - (2**wlen - 1) on.  Payloads
+    one grow more, 1 on the zero-run row and 0 on the others.  Payloads
     come out in increasing order, spelled by C-level iterators; no program
     is decoded.
     """
-    size = 1 << wlen
     olen = _output(row, 0, wlen)[1]  # bits of the first payload's output
-    if row == 2:  # zero run: payload w outputs olen + w bits
-        lo = min(max(cut + 1 - olen, 0), size)
-    else:
-        lo = 0 if olen > cut else size
     head = format(prefix, f"0{length - wlen}b")
-    payloads = list(map("".join, islice(product("01", repeat=wlen), lo, None))) if lo < size else []
-    if row == 2:
-        return head, payloads, map("0".__mul__, range(olen + lo, olen + size)), (length + olen + lo + 1, 1)
+    payloads = list(map("".join, product("01", repeat=wlen)))
+    if row == 2:  # zero run: payload w outputs olen + w bits
+        return head, payloads, map("0".__mul__, range(olen, olen + len(payloads))), (length + olen + 1, 1)
     steps = (length + olen + 1, 0)
     if row == 0:
         return head, payloads, payloads, steps
     if row == 1:
         return head, payloads, map(mul, payloads, repeat(2)), steps
     return head, payloads, map(itemgetter(slice(None, None, -1)), payloads), steps
+
+
+def first_printed(length: int, wlen: int, row: int, cut: int = -1):
+    """Lengths of the outputs longer than cut that a length-bit class prints first, in payload order.
+
+    An output is printed first by its least program (least_program).  On rows
+    0, 1 and REVERSE, the least programs of m-bit outputs of one kind (0**m,
+    another square, or neither) share a row, so one output of each kind is
+    asked; 0**k from a zero run has raw and square programs of more than
+    k / 2 bits, so only k < 2 * length is asked.
+    """
+    header = "{:0{}b}".format(*_HEADER[min(row, 3)])  # REVERSE is branch 3, which no least program takes
+    size = 1 << wlen
+    if row == 2:
+        ks = range(max(cut + 1, size - 1), 2 * size - 1)
+        low = max(0, 2 * length - ks.start)  # how many k lie below 2 * length
+        return chain((k for k in ks[:low] if least_program("0" * k, length).startswith(header)), ks[low:])
+    m = _output(row, 0, wlen)[1]
+    squares = (1 << m // 2) - 1 if m % 2 == 0 else 0  # ww with w != 0**(m/2)
+    kinds = ((1, "0" * m), (squares, "1" * m), (size - 1 - squares, "1" + "0" * (m - 1))) if m > cut else ()
+    return repeat(m, sum(n for n, s in kinds if n and least_program(s, length).startswith(header)))
 
 
 def least_program(s: str, max_len: int) -> str | None:

@@ -1,9 +1,9 @@
 """Per-length census of compressible strings.
 
-A census row collects every length-n string found compressible at the
-current budget.  In exhaustive mode the membership is exact for the
-truncated machine, and the strict-subset property (fewer than 2**n members
-at every n) is a theorem, not an observation.
+A census row counts the length-n strings found compressible at the current
+budget, from the stream's length histogram.  In exhaustive mode the count
+is exact for the truncated machine, and the strict-subset property (fewer
+than 2**n members at every n) is a theorem, not an observation.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_PREC, Decimal, localcontext
-from fractions import Fraction
 
 from .bits import nat_to_string
 from .enumerator import EnumerationResult
@@ -20,7 +19,6 @@ from .enumerator import EnumerationResult
 @dataclass(frozen=True)
 class CensusRow:
     n: int
-    members: frozenset[str]
     count: int
     h_upper_n: int | None  # H_up of the string identified with the number n
 
@@ -32,27 +30,24 @@ class CensusRow:
         return self.n - math.log2(self.count)
 
 
-def _row(enum: EnumerationResult, n: int, members) -> CensusRow:
-    """Row n from its members, the stream's strings of length n."""
-    members = frozenset(members)
-    return CensusRow(n, members, len(members), enum.complexity_upper(nat_to_string(n)))
+def _row(enum: EnumerationResult, n: int, histogram) -> CensusRow:
+    """Row n, counted from the stream's length histogram."""
+    return CensusRow(n, histogram[n], enum.complexity_upper(nat_to_string(n)))
 
 
 def census(enum: EnumerationResult, n: int, T=1) -> CensusRow:
     """Length-n compressible strings under threshold T (H_up(s) < T*n): row n of census_profile, alone."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    return _row(enum, n, (s for s in enum.compressible_stream(Fraction(T)).members if len(s) == n))
+    return _row(enum, n, enum.compressible_stream(T).histogram)
 
 
 def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> list[CensusRow]:
     """Census rows for n = 0 .. n_max (default: longest compressible string)."""
-    by_len: dict[int, list[str]] = {}
-    for s in enum.compressible_stream(Fraction(T)).members:
-        by_len.setdefault(len(s), []).append(s)
+    histogram = enum.compressible_stream(T).histogram
     if n_max is None:
-        n_max = max(by_len, default=0)
-    return [_row(enum, n, by_len.get(n, ())) for n in range(n_max + 1)]
+        n_max = max(histogram, default=0)
+    return [_row(enum, n, histogram) for n in range(n_max + 1)]
 
 
 def write_profile_csv(rows: list[CensusRow], path) -> None:

@@ -86,9 +86,9 @@ def cmd_census(args) -> int:
         with open(args.members, "w") as fh:
             header = {**enum.provenance(), "T": _frac_str(args.T)}
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for row in rows:
-                for s in sorted(row.members):
-                    fh.write(json.dumps({"n": row.n, "s": s}, sort_keys=True) + "\n")
+            members = enum.compressible_stream(args.T).members
+            for n, s in sorted((len(s), s) for s in members if len(s) < len(rows)):
+                fh.write(json.dumps({"n": n, "s": s}, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(rows)} census rows to {args.out}\n")
     return 0
 

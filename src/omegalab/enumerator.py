@@ -17,22 +17,21 @@ program order, so taking lengths in turn gives the canonical
 
 A result is these class runs, with the outcome counts and per-length halt
 counts; no event is spelled to get one.  Its readers take what they need
-from the runs: the log formats each run's lines a block at a time, a
-compressible stream spells only the outputs of the runs that beat its
-threshold, and H_up(s) and its witness come from the least scheduled
-program that prints s (_purecore.least_program).  In run order an
-output's first event is also its shortest program, so a stream that keeps
-each qualifying output once enters it at its first witness.  Events are
-spelled only when asked for.  This keeps enumeration stateless, replayable
-and deterministic.
+from the runs: the log formats each run's lines a block at a time, and
+H_up(s) and its witness come from the least scheduled program that prints
+s (_purecore.least_program).  In run order an output's first event is its
+least program, so it qualifies for a compressible stream if any event
+does, and enters from the run that holds that program: a stream counts
+its members from the runs (_purecore.first_printed) and spells them only
+when read, as a result does its events.  This keeps enumeration
+stateless, replayable and deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -79,30 +78,39 @@ class HaltEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class CompressibleStream:
-    """Outputs s with H_up(s) < T|s|, in order of first qualifying witness."""
+    """Outputs s with H_up(s) < T|s|, in order of first qualifying witness, counted from the class runs."""
 
     threshold: Fraction
-    members: tuple[str, ...]
+    runs: tuple[tuple[int, int, int, int], ...]
 
-    # Built once, on first use: a result keeps its streams, and most of
-    # them never feed a partial sum.
     @cached_property
     def lengths(self) -> tuple[int, ...]:
-        """|s_i| for every member, in stream order."""
-        return tuple(map(len, self.members))
+        """|s_i| for every member, in stream order, as _purecore.first_printed counts them."""
+        num, den = self.threshold.numerator, self.threshold.denominator
+        firsts = (_purecore.first_printed(n, w, r, n * den // num) for n, _, w, r in self.runs)
+        return tuple(chain.from_iterable(firsts))
 
     @cached_property
     def histogram(self) -> Counter:
         """{m: number of members of length m}: all that a whole stream sum reads."""
-        return Counter(map(len, self.members))
+        return Counter(self.lengths)
+
+    @cached_property
+    def members(self) -> tuple[str, ...]:
+        """The member strings in stream order, spelled on first read; refused past memory before any is."""
+        _check_memory(sum(self.lengths), "the stream's members")
+        num, den = self.threshold.numerator, self.threshold.denominator
+        members = []
+        for length, prefix, wlen, row in self.runs:
+            head, payloads, outputs, _ = _purecore.class_strings(length, prefix, wlen, row)
+            cut = length * den // num
+            # an output of at least twice the run's length has no shorter program (first_printed)
+            members += (s for w, s in zip(payloads, outputs) if len(s) > cut
+                        and (len(s) >= 2 * length or _purecore.least_program(s, length) == head + w))
+        return tuple(members)
 
     def __len__(self) -> int:
-        return len(self.members)
-
-
-# Streams a result keeps, least recently used evicted first, so a sweep over
-# thresholds stays bounded.  Partial sums are walked or summed, never kept.
-_MAX_CACHED = 64
+        return len(self.lengths)
 
 
 class EnumerationResult:
@@ -110,7 +118,7 @@ class EnumerationResult:
 
     runs lists the halting classes (length, prefix, wlen, row) in canonical
     order.  Events are spelled from the runs on first use; no sum, stream,
-    log or command reads them.
+    log or command reads them, and the result keeps no stream.
     """
 
     def __init__(self, runs, budget, machine_digest, machine_identity, counts, halts):
@@ -120,7 +128,6 @@ class EnumerationResult:
         self.machine_digest = machine_digest
         self.machine_identity = machine_identity
         self.counts = dict(counts)
-        self._streams: OrderedDict[Fraction, CompressibleStream] = OrderedDict()
 
     def provenance(self) -> dict:
         """The machine digest and budget that every artifact carries."""
@@ -141,7 +148,8 @@ class EnumerationResult:
 
     @cached_property
     def events(self) -> list[HaltEvent]:
-        """Every halt event in canonical order, spelled from the runs on first use."""
+        """Every halt event in canonical order, spelled from the runs on first use if they fit in memory."""
+        _check_memory(sum(_purecore.class_bits(n, w, r) for n, _, w, r in self.runs), "the events")
         events = []
         for length, prefix, wlen, row in self.runs:
             # found in round length, like every halting program of that length
@@ -174,58 +182,39 @@ class EnumerationResult:
         return _purecore.least_program(s, self.budget.scheduled)
 
     def compressible_stream(self, threshold: Fraction | int) -> CompressibleStream:
-        """Distinct outputs with H_up(s) < T|s|, entered at their first witness.
+        """Distinct outputs with H_up(s) < T|s|, entered at their first witness; a new stream on each call.
 
         Membership is the exact rational comparison |p| * den(T) < num(T) * |s|.
-        Built once per threshold and kept on the result.
         """
         t = Fraction(threshold)
         if t <= 0:
             raise ValueError("threshold must be positive")
-        streams = self._streams
-        streams[t] = streams.pop(t) if t in streams else self._build_stream(t)  # the last is the latest used
-        if len(streams) > _MAX_CACHED:
-            streams.popitem(last=False)
-        return streams[t]
-
-    def _build_stream(self, t: Fraction) -> CompressibleStream:
-        # a run's programs of L bits qualify where their outputs have more
-        # than L * den // num bits; an output's first event is its shortest
-        # program, so it qualifies if any event does, and its first
-        # qualifying event is its first event.  Only outputs of at most
-        # 2 * scheduled bits can have two programs: a longer one is a zero
-        # run, the zero runs differ in length, and every other output is
-        # shorter.  So a longer output is keyed by its length, never hashed.
-        num, den = t.numerator, t.denominator
-        limit = 2 * self.budget.scheduled
-        members = {}
-        for length, prefix, wlen, row in self.runs:
-            outputs = list(_purecore.class_strings(length, prefix, wlen, row, length * den // num)[2])
-            short = bisect_right(outputs, limit, key=len)  # outputs grow along a run
-            keys = chain(islice(outputs, short), map(len, islice(outputs, short, None)))
-            members.update(zip(keys, outputs))
-        return CompressibleStream(t, tuple(members.values()))
+        return CompressibleStream(t, tuple(self.runs))
 
 
 _new_event = partial(tuple.__new__, HaltEvent)
 
-# Bytes of physical memory: room for at most this many event bits as str characters.
+# Bytes of physical memory: room for at most this many bits as str characters.
 _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(bits: int, what: str) -> None:
+    """Refuse with ValueError to spell what takes bits, a byte each as str characters, past memory."""
+    if bits > _MEMORY:
+        raise ValueError(f"{what} take at least {bits} bits, a byte each: over the {_MEMORY} bytes of memory")
 
 
 def enumerate_domain(machine: Machine, budget: Budget, workers: int = 1) -> EnumerationResult:
     """Decide every program of length <= max_len under the budget's schedule.
 
     `workers` is accepted for compatibility and ignored: enumeration is a
-    single pass in one process, and events come in canonical order.  An
-    event's program and output bits take a byte each as str characters, so
-    events of more bits than the machine has bytes of physical memory are
-    refused with ValueError before any is spelled.
+    single pass in one process, and events come in canonical order.  A
+    result holds runs and counts, which take more than max_len bits, so a
+    max_len past the bytes of physical memory is refused with ValueError;
+    events, the log and stream members are refused where they are spelled.
     """
-    try:
-        return _enumerate(machine, budget, _MEMORY)
-    except ValueError as exc:
-        raise ValueError(f"{exc}, a byte each: more than the {_MEMORY} bytes of memory") from None
+    _check_memory(budget.max_len, "the counts")
+    return _enumerate(machine, budget)
 
 
 def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> EnumerationResult:
@@ -310,10 +299,11 @@ def _log_blocks(result: EnumerationResult):
 def write_log(result: EnumerationResult, path) -> None:
     """JSONL event log: one header line, then one line per halt event.
 
-    The header is formatted before the file is opened, so a header that
-    cannot be written (a count past the int-to-string digit limit) leaves
-    no file behind.
+    Events past memory are refused, and the header formatted, before the
+    file is opened, so neither they nor a header that cannot be written (a
+    count past the int-to-string digit limit) leave a file behind.
     """
+    _check_memory(sum(_purecore.class_bits(n, w, r) for n, _, w, r in result.runs), "the events")
     blocks = _log_blocks(result)
     header = next(blocks)
     with open(path, "w") as fh:

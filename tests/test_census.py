@@ -1,4 +1,5 @@
 import csv
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,12 +7,18 @@ import pytest
 
 from omegalab.bits import nat_to_string
 from omegalab.census import CensusRow, census, census_profile, write_profile_csv
+from omegalab.enumerator import CompressibleStream
+
+
+def _spelled_row(enum, n, T=1):
+    """The stream's members of length n, spelled: what a census row counts."""
+    return {s for s in enum.compressible_stream(T).members if len(s) == n}
 
 
 def test_row_basic(enum14):
     row = census(enum14, 12)
     assert row.count == 1
-    assert row.members == frozenset({"0" * 12})
+    assert _spelled_row(enum14, 12) == {"0" * 12}
     assert row.gap == pytest.approx(12.0)
     # h_upper of the string identified with 12, i.e. "101"
     assert row.h_upper_n == enum14.complexity_upper("101")
@@ -42,7 +49,7 @@ def test_thresholded_census(enum14):
     full = sum(r.count for r in census_profile(enum14, Fraction(1, 2)))
     assert 0 < full < 115
     row = census(enum14, 25, Fraction(1, 2))
-    assert row.members == frozenset({"0" * 25})
+    assert row.count == 1 and _spelled_row(enum14, 25, Fraction(1, 2)) == {"0" * 25}
 
 
 @pytest.mark.parametrize("T", [Fraction(1, 2), Fraction(2, 3), Fraction(1)])
@@ -54,11 +61,24 @@ def test_census_is_a_row_of_the_profile(enum14, T):
 
 
 def test_census_builds_only_its_row(enum14, monkeypatch):
+    """census spells only the string identified with n, and counts its row from the histogram."""
+    assert _spelled_row(enum14, 10**5) == set()
     calls = []
     monkeypatch.setattr("omegalab.census.nat_to_string", lambda n: calls.append(n) or nat_to_string(n))
+    monkeypatch.setattr(CompressibleStream, "members", property(lambda self: pytest.fail("members spelled")))
     row = census(enum14, 10**5)
     assert calls == [10**5]
-    assert row.count == 0 and row.members == frozenset()
+    assert row.count == 0
+
+
+@pytest.mark.parametrize("T", [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2)])
+@pytest.mark.parametrize("L", [14, 18])
+def test_profile_counts_the_spelled_members(enum_at, L, T):
+    members = enum_at(L).compressible_stream(T).members
+    by_len = Counter(map(len, set(members)))
+    rows = census_profile(enum_at(L), T)
+    assert [row.count for row in rows] == [by_len[n] for n in range(max(by_len) + 1)]
+    assert sum(row.count for row in rows) == len(members)
 
 
 def test_census_rejects_negative(enum14):
@@ -80,7 +100,7 @@ def test_csv_shape(tmp_path, enum14):
 def test_csv_past_int_str_digit_limit(tmp_path):
     # 2**15000 has 4,516 decimal digits, past Python's default int-to-string limit
     path = tmp_path / "census.csv"
-    write_profile_csv([CensusRow(15000, frozenset(), 0, None)], path)
+    write_profile_csv([CensusRow(15000, 0, None)], path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][:2] == ["15000", "0"]
@@ -111,7 +131,7 @@ def test_csv_of_any_rows_is_what_csv_writer_writes(tmp_path):
     """Rows that skip, repeat and go back in n, up to n = 5000, with every kind of gap and h_upper_n."""
     ns = [3, 4, 5, 0, 1, 1, 17, 16, 4999, 5000, 2, 5000]
     counts = [0, 1, 5, 0, 1, 2, 3, 0, 7, 1, 0, 2]
-    rows = [CensusRow(n, frozenset(), count, h) for n, count, h in zip(ns, counts, [None, 9, 12] * 4)]
+    rows = [CensusRow(n, count, h) for n, count, h in zip(ns, counts, [None, 9, 12] * 4)]
     write_profile_csv(rows, tmp_path / "census.csv")
     _csv_oracle(rows, tmp_path / "oracle.csv")
     assert (tmp_path / "census.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -6,7 +6,7 @@ import pytest
 
 from omegalab import Budget, Machine, cli, enumerate_domain, fixedpoint
 from omegalab.cli import main
-from omegalab.enumerator import write_log
+from omegalab.enumerator import load_log, write_log
 from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder, identity_digest
 
 
@@ -66,6 +66,20 @@ def test_census_csv(log14, tmp_path, capsys):
     dumped = members.read_text().splitlines()
     assert "machine" in json.loads(dumped[0])
     assert len(dumped) == 1 + 115
+
+
+@pytest.mark.parametrize("T", ["1", "2"])
+def test_census_members_are_the_stream_up_to_n_max(log14, tmp_path, T):
+    """--members dumps the stream's members of at most n_max bits, by length and then by bits."""
+    members = load_log(log14).compressible_stream(Fraction(T)).members
+    dump = tmp_path / "members.jsonl"
+    for n_max in (12, 40):
+        args = ["census", "--T", T, "--n-max", str(n_max), "--log", str(log14), "--members", str(dump)]
+        assert main([*args, "--out", str(tmp_path / "census.csv")]) == 0
+        header, *lines = dump.read_text().splitlines()
+        assert json.loads(header)["T"] == f"{T}/1"
+        want = sorted((len(s), s) for s in members if len(s) <= n_max)
+        assert [json.loads(line) for line in lines] == [{"n": n, "s": s} for n, s in want]
 
 
 def test_extract(log14, capsys):

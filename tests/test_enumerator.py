@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from omegalab import Budget, Machine, _purecore, enumerate_domain
 from omegalab.bits import gamma_encode, pair_to_bits
 from omegalab.census import census_profile
+from omegalab.cli import main
 from omegalab.enumerator import (
     _BLOCK_CHARS,
     _COMPARE_BLOCK,
+    CompressibleStream,
     HaltEvent,
     _EVENT_LINE,
     _enumerate,
@@ -24,7 +26,7 @@ from omegalab.enumerator import (
 )
 from omegalab.extractor import extract_incompressible
 from omegalab.machine import LoopForeverDecoder, OutcomeKind, ReversePayloadDecoder
-from omegalab.measures import evaluate
+from omegalab.measures import cs_lower, evaluate
 from reference import ref_halting_set, ref_steps
 
 REGISTRIES = {
@@ -202,12 +204,6 @@ def test_halting_classes_are_found_in_their_length_round(registry):
             assert length < steps[0] <= steps[-1] <= 1 << length, (length, prefix)
             assert steps[-1] - steps[0] in (0, (1 << wlen) - 1)  # steps grow by 0 or 1 per payload
             assert _purecore.class_bits(length, wlen, row) == sum(map(len, programs + outputs))
-            for cut in {len(outputs[0]) - 1, len(outputs[0]), len(outputs[-1]) - 1, len(outputs[-1])}:
-                kept_head, kept, kept_outputs, (first, grow) = _purecore.class_strings(length, prefix, wlen, row, cut)
-                lo = len(payloads) - len(kept)
-                assert all(len(s) <= cut for s in outputs[:lo]) and all(len(s) > cut for s in outputs[lo:])
-                assert (kept_head, kept, list(kept_outputs)) == (head, payloads[lo:], outputs[lo:])
-                assert not kept or first == steps[lo]
 
 
 @pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
@@ -233,10 +229,37 @@ def test_enumerate_gives_up_at_the_first_length_past_max_bits(registry, budget):
         _enumerate(machine, budget, budget.max_len - 1)
 
 
-def test_enumeration_past_memory_is_refused(machine):
-    """The events of length 32 alone hold 2.2e12 bits: refused before any is spelled."""
-    with pytest.raises(ValueError, match=r"length <= \d+ take more than \d+ bits, a byte each: "):
-        enumerate_domain(machine, Budget(40))
+def test_enumeration_past_memory_is_refused(machine, tmp_path):
+    """At L = 40 the runs are few, but the events of length 32 alone hold 2.2e12 bits.
+
+    The result is made; its events, its log and its stream's members are
+    refused before any is spelled.
+    """
+    res = enumerate_domain(machine, Budget(40))
+    path = tmp_path / "l40.jsonl"
+    spellers = (lambda: res.events, lambda: write_log(res, path), lambda: res.compressible_stream(1).members)
+    for spell in spellers:
+        with pytest.raises(ValueError, match=r"take at least \d+ bits, a byte each: over the \d+ bytes"):
+            spell()
+    assert not path.exists()
+    assert "events" not in vars(res)
+
+
+def test_memory_refuses_only_what_is_spelled(monkeypatch):
+    """Past a small memory a result and its sums are still made, from the runs.
+
+    Its events and its stream's members are refused, and so is a budget
+    whose counts alone take more bits than the memory has bytes.
+    """
+    want = cs_lower(enumerate_domain(Machine(), Budget(16)))
+    monkeypatch.setattr("omegalab.enumerator._MEMORY", 1000)
+    res = enumerate_domain(Machine(), Budget(16))
+    assert cs_lower(res) == want
+    for spell in (lambda: res.events, lambda: res.compressible_stream(1).members):
+        with pytest.raises(ValueError, match="bits, a byte each: over the 1000 bytes of memory"):
+            spell()
+    with pytest.raises(ValueError, match="the counts take at least 1001 bits"):
+        enumerate_domain(Machine(), Budget(1001, 4))
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
@@ -331,9 +354,80 @@ def test_stream_first_witness_order():
                 table = res.complexity_table
                 assert len(table) < len(res.events)  # some output has several programs
                 assert list(table.items()) == list(_table_by_events(res.events).items()), registry
-            for t in map(Fraction, ("1", "1/2", "2/3", "5/6", "3/2")):
+            for t in map(Fraction, ("1", "1/2", "2/3", "5/6", "3/2", "2", "3")):
                 want = _stream_by_events(res.events, t)
-                assert list(res.compressible_stream(t).members) == want, (registry, budget, t)
+                stream = res.compressible_stream(t)
+                assert list(stream.members) == want, (registry, budget, t)
+                assert stream.lengths == tuple(map(len, want)) and stream.histogram == Counter(map(len, want))
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_stream_matches_the_reference_halting_set(registry):
+    """Every stream at L <= 14 against one built from the reference decoder's (program, output) pairs."""
+    pairs = ref_halting_set(14, _names(registry))  # in (length, program) order
+    for max_len in range(1, 15):
+        res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(max_len))
+        for t in map(Fraction, ("1", "1/2", "2/3", "5/6", "3/2", "2")):
+            want = {}
+            for p, s in pairs:
+                if len(p) <= max_len and len(p) * t.denominator < t.numerator * len(s):
+                    want.setdefault(s, None)
+            stream = res.compressible_stream(t)
+            assert list(stream.members) == list(want), (max_len, t)
+            assert stream.lengths == tuple(map(len, want)), (max_len, t)
+
+
+def former_stream(res, t):
+    """The stream as it was once built, kept here as an oracle.
+
+    Every qualifying output is spelled, and those of at most 2 * scheduled
+    bits are hashed to keep each once; longer ones are zero runs, keyed by length.
+    """
+    num, den = t.numerator, t.denominator
+    limit = 2 * res.budget.scheduled
+    members = {}
+    for length, prefix, wlen, row in res.runs:
+        cut = length * den // num
+        outputs = [s for s in _purecore.class_strings(length, prefix, wlen, row)[2] if len(s) > cut]
+        short = sum(len(s) <= limit for s in outputs)  # outputs grow along a run
+        keys = chain(outputs[:short], map(len, outputs[short:]))
+        members.update(zip(keys, outputs))
+    return list(members.values())
+
+
+@pytest.mark.parametrize("max_len", [19, 21])
+def test_stream_matches_the_former_string_path(max_len):
+    for registry in sorted(REGISTRIES):
+        res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(max_len))
+        for t in map(Fraction, ("1", "1/2", "2/3", "5/6", "3/2")):
+            want = former_stream(res, t)
+            stream = res.compressible_stream(t)
+            assert stream.lengths == tuple(map(len, want)), (registry, t)
+            assert stream.histogram == Counter(map(len, want)), (registry, t)
+            if max_len == 19:
+                assert list(stream.members) == want, (registry, t)
+
+
+def test_first_printed_counts_the_least_programs():
+    """first_printed against least_program, output by output, at cuts on both sides of each output length.
+
+    Every string of at most 12 bits is checked on rows 0, 1 and REVERSE, and
+    0**k for every k <= 4096 on the zero-run row.
+    """
+    rows = {1: _purecore.REVERSE}
+    for length in range(1, 24):
+        for prefix, wlen, row in _purecore.generate_halts(length, rows)[0]:
+            if (1 << wlen) - 1 > 4096 if row == 2 else _purecore._output(row, 0, wlen)[1] > 12:
+                continue
+            head, payloads, outputs, _ = _purecore.class_strings(length, prefix, wlen, row)
+            outputs = list(outputs)
+            first = [len(s) for w, s in zip(payloads, outputs) if _purecore.least_program(s, length) == head + w]
+            if row == _purecore.REVERSE:
+                assert not first
+            bits = {len(outputs[0]), len(outputs[-1]), length, 2 * length}
+            for cut in {-1, *(b + d for b in bits for d in (-1, 0))}:
+                got = list(_purecore.first_printed(length, wlen, row, cut))
+                assert got == [b for b in first if b > cut], (length, prefix, cut)
 
 
 @pytest.mark.parametrize("budget", [Budget(16), Budget(14, 11)], ids=str)
@@ -408,16 +502,20 @@ def test_log_blocks_are_whole_lines(registry):
 
 
 @pytest.mark.parametrize("registry", ["none", "reverse1-loop2"])
-def test_no_command_path_spells_events(tmp_path, registry):
-    """Log, replay, the five sums, census and extract read the runs: no result spells its events."""
+def test_no_command_path_spells_events(tmp_path, registry, monkeypatch):
+    """Log, replay, the five sums, census, extract and fixedpoint read the runs: they spell no event or member."""
     res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(16))
     path = tmp_path / "log16.jsonl"
     write_log(res, path)
     loaded = load_log(path)
+    monkeypatch.setattr(CompressibleStream, "members", property(lambda self: pytest.fail("members spelled")))
     for quantity in ("omega", "cs", "z", "cst", "csbt"):
         evaluate(loaded, quantity, Fraction(2, 3) if quantity in ("z", "cst", "csbt") else None)
     census_profile(loaded, Fraction(2, 3))
     extract_incompressible(loaded, 12, Fraction(2, 3))
+    out = tmp_path / "fixedpoint.json"
+    assert main(["fixedpoint", "--T", "1/2", "--t", "3/4", "--log", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["roundtrip_all_ok"]
     for result in (res, loaded):
         assert "events" not in vars(result) and "complexity_table" not in vars(result)
 

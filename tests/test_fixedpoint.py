@@ -294,7 +294,7 @@ def test_sweeps_equal_per_k_checks(enum14, pair):
 
 
 @pytest.mark.parametrize("lengths", [(40, 41, 42, 3), (40, 3, 4, 5)], ids=str)
-def test_sweeps_reach_both_ends_of_the_stream(lengths):
+def test_sweeps_reach_both_ends_of_the_stream(lengths, monkeypatch):
     """Streams whose first or last element alone decides a sweep.
 
     On a real stream the gaps are set by the short early members, so a sweep
@@ -303,7 +303,9 @@ def test_sweeps_reach_both_ends_of_the_stream(lengths):
     lower one.
     """
     enum = EnumerationResult([], Budget(1), "synthetic", {}, {"halt": len(lengths)}, {1: len(lengths)})
-    enum._streams[Fraction(1)] = CompressibleStream(Fraction(1), tuple("0" * n for n in lengths))
+    stream = CompressibleStream(Fraction(1), ())
+    vars(stream).update(lengths=lengths, histogram=Counter(lengths))  # what the sums read
+    monkeypatch.setattr(enum, "compressible_stream", lambda threshold: stream)
     assert enum.compressible_stream(1).lengths == lengths
     assert_sweeps_match_per_k(enum, Fraction(1, 2), Fraction(3, 4))
 

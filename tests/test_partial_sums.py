@@ -1,4 +1,4 @@
-"""Partial sums, walked forward or taken whole, and the stream cache on EnumerationResult.
+"""Partial sums, walked forward or taken whole, and the streams they read.
 
 The oracle is the per-term loop the sums replaced: one pow2_enclosure per
 stream element, added interval by interval.  Dyadic sums are exact, so
@@ -110,43 +110,57 @@ def test_exact_sums_are_the_same_at_any_precision(enum14, threshold, x):
         assert _pow2_sum(enum14.compressible_stream(threshold).histogram, x, prec) == rows[-1]
 
 
-def test_streams_built_once(enum14):
-    assert enum14.compressible_stream(Fraction(2, 3)) is enum14.compressible_stream(Fraction(2, 3))
+def test_streams_are_built_on_each_call(enum14):
+    """A stream is built from the runs on each call, and the result keeps none."""
+    keys = set(vars(enum14))
+    first = enum14.compressible_stream(Fraction(2, 3))
+    again = enum14.compressible_stream(Fraction(2, 3))
+    assert first is not again and first == again
+    assert first.lengths == again.lengths and first.histogram == again.histogram
+    assert set(vars(enum14)) == keys
 
 
-def test_table_cache_is_bounded(machine):
+def test_result_keeps_no_stream(machine):
+    """A sweep over 1000 thresholds leaves the result as it was; the streams grow with the threshold."""
     res = enumerator.enumerate_domain(machine, enumerator.Budget(14))
+    keys = set(vars(res))
     thresholds = [Fraction(j, 1000) for j in range(1, 1001)]
-    for threshold in thresholds:
-        res.compressible_stream(threshold)
-    assert len(res._streams) <= enumerator._MAX_CACHED
-    # least recently used goes first: the last lookups are still cached
-    last = res.compressible_stream(thresholds[-1])
-    assert res.compressible_stream(thresholds[-1]) is last
-    assert thresholds[0] not in res._streams
+    histograms = [res.compressible_stream(threshold).histogram for threshold in thresholds]
+    assert set(vars(res)) == keys == {"runs", "halts", "budget", "machine_digest", "machine_identity", "counts"}
+    assert all(a <= b for a, b in zip(histograms, histograms[1:]))
+    assert histograms[-1] == res.compressible_stream(1).histogram and not histograms[0]
 
 
-def test_no_fixedpoint_path_keeps_partial_sums(machine):
-    """Constants, both sweeps, the context and a round-trip loop walk or sum: nothing keeps a row."""
+def test_no_fixedpoint_path_keeps_partial_sums(machine, monkeypatch):
+    """Constants, both sweeps, the context and a round-trip loop walk or sum: nothing keeps a row or a member."""
     res = enumerator.enumerate_domain(machine, enumerator.Budget(16))
+    streams = []
+    build = enumerator.EnumerationResult.compressible_stream
+
+    def kept(self, threshold):
+        streams.append(build(self, threshold))
+        return streams[-1]
+
+    monkeypatch.setattr(enumerator.EnumerationResult, "compressible_stream", kept)
     T, t = Fraction(1, 2), Fraction(3, 4)
     consts = derive_constants(res, T, t)
     assert upper_gap_sweep(res, consts, [T + (t - T) * Fraction(j, 5) for j in range(1, 5)])
     assert lower_gap_sweep(res, consts, t)
     ctx = default_context(res, T, t)
     assert all(trip.ok for trip in reconstruction_roundtrips(res, T, range(1, 25), ctx))
-    assert set(vars(res)) == {"runs", "halts", "budget", "machine_digest", "machine_identity", "counts", "_streams"}
-    assert res._streams
-    for stream in res._streams.values():
-        assert set(vars(stream)) <= {"threshold", "members", "lengths", "histogram"}
+    assert set(vars(res)) == {"runs", "halts", "budget", "machine_digest", "machine_identity", "counts"}
+    assert streams
+    for stream in streams:
+        assert set(vars(stream)) <= {"threshold", "runs", "lengths", "histogram"}
 
 
 def test_stream_membership(enum14):
     stream = enum14.compressible_stream(1)
-    same = CompressibleStream(stream.threshold, stream.members)
+    same = CompressibleStream(stream.threshold, stream.runs)
     assert same == stream and hash(same) == hash(stream)
-    assert "lengths" not in repr(same)
+    assert "lengths" not in repr(same) and "members" not in repr(same)
     assert stream.lengths == tuple(len(s) for s in stream.members)
+    assert len(stream) == len(stream.members) == len(set(stream.members))
 
 
 @pytest.mark.parametrize("threshold", [Fraction(1), Fraction(2, 3), Fraction(1, 2)], ids=str)
