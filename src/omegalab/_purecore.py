@@ -27,8 +27,8 @@ program order and counting every outcome, and least_program reads it
 backwards, from an output to its least program.  A halting class (prefix,
 wlen, row) stands for the programs prefix w, one per payload w of wlen bits;
 class_strings spells their payloads, program head, outputs and step counts,
-class_bits sums their program and output bits, and first_printed gives the
-lengths of the outputs they print first.
+as str or as bytes, class_bits sums their program and output bits, and
+first_printed gives the lengths of the outputs they print first.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -211,21 +211,31 @@ def class_bits(length: int, wlen: int, row: int) -> int:
     return size * (length + _output(row, 0, wlen)[1])
 
 
-def class_strings(length: int, prefix: int, wlen: int, row: int):
+def spell_payloads(wlen: int, bits="01"):
+    """Every wlen-bit payload in increasing order, spelled over bits: "01" as str, b"01" as bytes."""
+    return list(map(bits[:0].join, product((bits[:1], bits[1:]), repeat=wlen)))
+
+
+def class_strings(length: int, prefix: int, wlen: int, row: int, payloads=None):
     """(head, payloads, outputs, steps) of one halting class's payloads.
 
     Strings are bits: a payload's program is head + payload, and the
-    payloads come as a list.  steps is (first, grow): the first payload
-    takes first steps, its reads, output bits and one halt, and each next
-    one grow more, 1 on the zero-run row and 0 on the others.  Payloads
+    payloads come as a list, spell_payloads(wlen) unless a caller passes
+    that list, str or bytes, to share it between classes of one width; the
+    head and outputs are spelled like it.  steps is (first, grow): the first
+    payload takes first steps, its reads, output bits and one halt, and each
+    next one grow more, 1 on the zero-run row and 0 on the others.  Payloads
     come out in increasing order, spelled by C-level iterators; no program
     is decoded.
     """
+    if payloads is None:
+        payloads = spell_payloads(wlen)
     olen = _output(row, 0, wlen)[1]  # bits of the first payload's output
-    head = format(prefix, f"0{length - wlen}b")
-    payloads = list(map("".join, product("01", repeat=wlen)))
+    head, zero = format(prefix, f"0{length - wlen}b"), "0"
+    if isinstance(payloads[0], bytes):
+        head, zero = head.encode(), b"0"
     if row == 2:  # zero run: payload w outputs olen + w bits
-        return head, payloads, map("0".__mul__, range(olen, olen + len(payloads))), (length + olen + 1, 1)
+        return head, payloads, map(zero.__mul__, range(olen, olen + len(payloads))), (length + olen + 1, 1)
     steps = (length + olen + 1, 0)
     if row == 0:
         return head, payloads, payloads, steps

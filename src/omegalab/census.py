@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import MAX_PREC, Decimal, localcontext
 
 from .bits import nat_to_string
-from .enumerator import EnumerationResult
+from .enumerator import EnumerationResult, _check_memory
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,16 @@ def census(enum: EnumerationResult, n: int, T=1) -> CensusRow:
 
 
 def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> list[CensusRow]:
-    """Census rows for n = 0 .. n_max (default: longest compressible string)."""
+    """Census rows for n = 0 .. n_max (default: longest compressible string).
+
+    Refused with ValueError, before any row is built, where the CSV's
+    two_pow_n column alone would outgrow memory: 2**n has at least 3n/10
+    digits, so the rows up to n_max spell at least 3 n_max (n_max + 1) / 20.
+    """
     histogram = enum.compressible_stream(T).histogram
     if n_max is None:
         n_max = max(histogram, default=0)
+    _check_memory(3 * n_max * (n_max + 1) // 20, "the two_pow_n digits of the census rows")
     return [_row(enum, n, histogram) for n in range(n_max + 1)]
 
 

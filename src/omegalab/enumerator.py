@@ -17,14 +17,15 @@ program order, so taking lengths in turn gives the canonical
 
 A result is these class runs, with the outcome counts and per-length halt
 counts; no event is spelled to get one.  Its readers take what they need
-from the runs: the log formats each run's lines a block at a time, and
-H_up(s) and its witness come from the least scheduled program that prints
-s (_purecore.least_program).  In run order an output's first event is its
-least program, so it qualifies for a compressible stream if any event
-does, and enters from the run that holds that program: a stream counts
-its members from the runs (_purecore.first_printed) and spells them only
-when read, as a result does its events.  This keeps enumeration
-stateless, replayable and deterministic.
+from the runs: the log formats each run's lines as bytes, a block at a
+time, from payload lists spelled once per width and shared by every run of
+that width, and H_up(s) and its witness come from the least scheduled
+program that prints s (_purecore.least_program).  In run order an output's
+first event is its least program, so it qualifies for a compressible
+stream if any event does, and enters from the run that holds that program:
+a stream counts its members from the runs (_purecore.first_printed) and
+spells them only when read, as a result does its events.  This keeps
+enumeration stateless, replayable and deterministic.
 """
 
 from __future__ import annotations
@@ -243,12 +244,12 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
     return EnumerationResult(runs, budget, machine.digest(), machine.identity(), counts, halts)
 
 
-# The event line of one run: formatted with the program head, the round and
-# the steps, or "%d" where the steps differ from line to line, then with each
-# event's (output, payload, seq[, steps]), it gives the bytes of
-# json.dumps(event, sort_keys=True) for binary program and output strings
+# The event line of one run, as bytes: formatted with the program head, the
+# round and the steps, or b"%d" where the steps differ from line to line,
+# then with each event's (output, payload, seq[, steps]), it gives the bytes
+# of json.dumps(event, sort_keys=True) for binary program and output strings
 # and int seq, round and steps.
-_EVENT_LINE = '{"output": "%%s", "program": "%s%%s", "round": %d, "seq": %%d, "steps": %s}\n'
+_EVENT_LINE = b'{"output": "%%s", "program": "%s%%s", "round": %d, "seq": %%d, "steps": %s}\n'
 
 # Lines formatted at once, and compared at once by load_log against as many
 # bytes of the file: at most _COMPARE_BLOCK, and fewer where a run's lines
@@ -258,31 +259,39 @@ _BLOCK_CHARS = 1 << 15
 
 
 def _run_blocks(runs):
-    """The event lines of each run in turn, in blocks of at most _COMPARE_BLOCK lines.
+    """(lines, block) for the event lines of each run in turn, in blocks of at most _COMPARE_BLOCK lines.
 
-    Each block is one % of the run's line template, repeated, over its
-    events' fields, taken from the run by C-level iterators.  A line holds
-    the template and, on average, class_bits >> wlen program and output bits.
+    Each block is bytes, one % of the run's line template repeated over its
+    events' fields, taken from the run by C-level iterators; the template is
+    repeated once per run, and lines is the block's line count.  The
+    payloads of each width are spelled once per call and shared by every run
+    of that width: the raw, square, zero-run and REVERSE rows at neighbouring
+    lengths have equal widths.  A line holds the template and, on average,
+    class_bits >> wlen program and output bits.
     """
     seq = 1
+    spelled = {}  # wlen: every wlen-bit payload, as bytes
     for length, prefix, wlen, row in runs:
-        head, payloads, outputs, (first, grow) = _purecore.class_strings(length, prefix, wlen, row)
+        if wlen not in spelled:
+            spelled[wlen] = _purecore.spell_payloads(wlen, b"01")
+        head, payloads, outputs, (first, grow) = _purecore.class_strings(length, prefix, wlen, row, spelled[wlen])
         if grow:
-            line = _EVENT_LINE % (head, length, "%d")
+            line = _EVENT_LINE % (head, length, b"%d")
             fields = zip(outputs, payloads, count(seq), count(first))
         else:
-            line = _EVENT_LINE % (head, length, first)
+            line = _EVENT_LINE % (head, length, b"%d" % first)
             fields = zip(outputs, payloads, count(seq))
         chars = len(line) + (_purecore.class_bits(length, wlen, row) >> wlen)
         block = max(1, min(_COMPARE_BLOCK, _BLOCK_CHARS // chars))
+        repeated = line * block
         for rest in range(len(payloads), 0, -block):
             n = min(rest, block)
-            yield (line * n) % tuple(chain.from_iterable(islice(fields, n)))
+            yield n, (repeated if n == block else line * n) % tuple(chain.from_iterable(islice(fields, n)))
         seq += len(payloads)
 
 
 def _log_blocks(result: EnumerationResult):
-    """The log of result in blocks of whole lines: the one definition of the log format.
+    """(lines, block) for the log of result in blocks of whole lines, as bytes: the one definition of the log format.
 
     The header is one block, formatted at once; the event lines follow in
     blocks formatted from the runs as they are read, and no event is spelled.
@@ -293,7 +302,7 @@ def _log_blocks(result: EnumerationResult):
         "exhaustive": result.is_exhaustive(),
         "counts": result.counts,
     }
-    return chain((json.dumps(header, sort_keys=True) + "\n",), _run_blocks(result.runs))
+    return chain(((1, json.dumps(header, sort_keys=True).encode() + b"\n"),), _run_blocks(result.runs))
 
 
 def write_log(result: EnumerationResult, path) -> None:
@@ -305,10 +314,10 @@ def write_log(result: EnumerationResult, path) -> None:
     """
     _check_memory(sum(_purecore.class_bits(n, w, r) for n, _, w, r in result.runs), "the events")
     blocks = _log_blocks(result)
-    header = next(blocks)
-    with open(path, "w") as fh:
+    _, header = next(blocks)
+    with open(path, "wb") as fh:
         fh.write(header)
-        fh.writelines(blocks)
+        fh.writelines(block for _, block in blocks)
 
 
 def load_log(path) -> EnumerationResult:
@@ -332,13 +341,13 @@ def load_log(path) -> EnumerationResult:
             budget = Budget(int(limits["max_len"]), int(limits["max_rounds"]))
             result = _enumerate(machine, budget, min(8 * size, _MEMORY))
             fh.seek(0)
-            for want in map(str.encode, _log_blocks(result)):
+            for lines, want in _log_blocks(result):
                 got = fh.read(len(want))
                 if got != want:
                     pairs = zip_longest(BytesIO(want), BytesIO(got), fillvalue=b"")
                     n += next(i for i, (a, b) in enumerate(pairs) if a != b)
                     break
-                n += want.count(b"\n")
+                n += lines
             else:
                 if not fh.read(1):
                     return result

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bits import pair_to_bits
 from .dyadic import DyadicInterval
-from .enumerator import CompressibleStream, EnumerationResult
+from .enumerator import CompressibleStream, EnumerationResult, _check_memory
 from .measures import Walk, _pow2_sum, _prefix
 
 
@@ -66,7 +66,8 @@ def extract_incompressible(
     m is floor(T*n) at threshold 1 in cs mode, and n at threshold T in csb
     mode: the least length-m string outside that threshold's census row.
     Existence is guaranteed: fewer than 2**m strings of length m have a
-    program shorter than m.
+    program shorter than m.  An m past memory is refused with ValueError
+    before any m-bit string is spelled.
     """
     t = Fraction(T)
     if not 0 < t <= 1:
@@ -79,6 +80,7 @@ def extract_incompressible(
         raise ValueError(f"unknown mode {mode!r}")
     if m < 1:
         raise ValueError("target length floor(T*n) (or n) must be >= 1")
+    _check_memory(m, f"the bits of the {m}-bit string")
     for val in range(1 << m):
         s = pair_to_bits(val, m)
         if verify_incompressible(enum, s, threshold):

@@ -46,8 +46,12 @@ def z_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
 
 def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} |s_i| 2**(-|s_i|/x), in one pass that keeps nothing."""
-    prefix = _prefix(enum.compressible_stream(1).lengths, k)
-    return DyadicInterval.from_row(_pow2_sum({l: l * n for l, n in prefix.items()}, x, prec))
+    return _weighted_sum(_prefix(enum.compressible_stream(1).lengths, k), x, prec)
+
+
+def _weighted_sum(histogram, x, prec: int) -> DyadicInterval:
+    """Enclosure of sum n l 2**(-l/x) over the items (l, n) of histogram: w_k over its prefix histogram."""
+    return DyadicInterval.from_row(_pow2_sum({l: l * n for l, n in histogram.items()}, x, prec))
 
 
 def stream_length(enum: EnumerationResult) -> int:
@@ -83,14 +87,19 @@ def _ceil_log2(x: Fraction) -> int:
     return (math.ceil(x) - 1).bit_length()
 
 
-def _c_lower(enum: EnumerationResult, T: Fraction, t: Fraction, prec: int) -> int:
-    """Least c >= 0 with 2**-c <= ln2 |s_1| 2**(-|s_1|/T), at lower bounds; checks derive_constants' inputs."""
+def _c_lower(lengths, T: Fraction, t: Fraction, prec: int) -> int:
+    """Least c >= 0 with 2**-c <= ln2 |s_1| 2**(-|s_1|/T), at lower bounds; checks derive_constants' inputs.
+
+    lengths are the x = 1 stream's, and z_k(enum, 1, T, prec) is the sum of
+    its first term alone.
+    """
     if not 0 < T < t < 1:
         raise ValueError("need 0 < T < t < 1")
-    if stream_length(enum) == 0:
+    if not lengths:
         raise ReconstructFailed("empty compressible stream at this budget")
-    l1 = enum.compressible_stream(1).lengths[0]
-    lower = ln2_enclosure(max(prec, 32))[0] * l1 * z_k(enum, 1, T, prec).lo.as_fraction()
+    l1 = lengths[0]
+    z1 = DyadicInterval.from_row(_pow2_sum({l1: 1}, T, prec))
+    lower = ln2_enclosure(max(prec, 32))[0] * l1 * z1.lo.as_fraction()
     if lower <= 0:
         raise ReconstructFailed("first-term lower bound vanished; raise prec")
     return _ceil_log2(1 / lower)
@@ -99,13 +108,15 @@ def _c_lower(enum: EnumerationResult, T: Fraction, t: Fraction, prec: int) -> in
 def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConstants:
     """Certified gap constants from interval bounds of known rounding direction.
 
-    c_upper uses upper bounds of W(t) and ln 2; c_lower is _c_lower's, which
-    default_context reads alone.  Requires a nonempty stream and 0 < T < t < 1.
+    c_upper uses upper bounds of W(t), the whole w_k, and ln 2; c_lower is
+    _c_lower's, which default_context reads alone.  Both read one x = 1
+    stream.  Requires a nonempty stream and 0 < T < t < 1.
     """
     T = Fraction(T)
     t = Fraction(t)
-    c_lower = _c_lower(enum, T, t, prec)
-    w_hi = w_k(enum, stream_length(enum), t, prec).hi.as_fraction()
+    stream = enum.compressible_stream(1)
+    c_lower = _c_lower(stream.lengths, T, t, prec)
+    w_hi = _weighted_sum(stream.histogram, t, prec).hi.as_fraction()
     c_upper = _ceil_log2(w_hi * ln2_enclosure(max(prec, 32))[1] / (T * T))
 
     # n0: least n such that 0.(T|n) + 2**-n < t for every n' >= n.  Beyond
@@ -265,7 +276,7 @@ def default_context(enum: EnumerationResult, T, t, prec: int = 96) -> PhiContext
     """
     T = Fraction(T)
     t = Fraction(t)
-    c = _c_lower(enum, T, t, prec)
+    c = _c_lower(enum.compressible_stream(1).lengths, T, t, prec)
     f = tuple(T + (t - T) / (1 << l) for l in range(1, _DEPTH + 1))
     g = (cst_lower(enum, T, prec=8 + _DEPTH).lo.as_fraction(),)
     return PhiContext(f, g, c, prec)

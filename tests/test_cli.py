@@ -146,7 +146,7 @@ def test_fixedpoint_checks_64_floor_identities_from_n2(log14, capsys, monkeypatc
 
 
 def test_fixedpoint_derives_the_constants_once(log14, capsys, monkeypatch):
-    calls = {"derive_constants": 0, "w_k": 0}
+    calls = {"derive_constants": 0, "_weighted_sum": 0}
     for name in calls:
         original = getattr(fixedpoint, name)
 
@@ -158,7 +158,7 @@ def test_fixedpoint_derives_the_constants_once(log14, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["fixedpoint", "--T", "1/2", "--t", "3/4", "--n-max", "4", "--log", str(log14)]) == 0
     assert json.loads(capsys.readouterr().out)["roundtrip_all_ok"]
-    assert calls == {"derive_constants": 1, "w_k": 1}
+    assert calls == {"derive_constants": 1, "_weighted_sum": 1}
 
 
 def test_empty_error_message_names_the_exception(monkeypatch, capsys):
@@ -262,6 +262,23 @@ def test_enumeration_past_memory_exits_1_and_leaves_no_log(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["enumerate", "--max-len", "40", "--out", str(out)]) == 1
     assert time.perf_counter() - start < 10
+    assert "bytes of memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["census", "--n-max", "1000"], ["extract", "--n", "200000"]])
+def test_size_past_memory_exits_1_and_writes_nothing(log14, tmp_path, capsys, monkeypatch, command):
+    """A census or an extracted string past memory is refused before it is built, and no file is written.
+
+    With memory set to 10**5 bytes, the L = 14 log (14,472 program and
+    output bits) still replays, but the census's two_pow_n column up to
+    n = 1000 spells at least 150,150 digits, and extract would spell a
+    200,000-bit string.
+    """
+    monkeypatch.setattr("omegalab.enumerator._MEMORY", 10**5)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*command, "--log", str(log14), "--out", str(out)]) == 1
     assert "bytes of memory" in capsys.readouterr().err
     assert not out.exists()
 

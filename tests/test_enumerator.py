@@ -191,11 +191,17 @@ def test_halting_classes_are_found_in_their_length_round(registry):
 
     Its programs are its head and payloads, its steps are its reads, output
     bits and halt, and class_bits is its program and output bits summed.
+    Spelled from shared bytes payloads, the class is the same strings, encoded.
     """
     rows = Machine(REGISTRIES[registry]).rows
     for length in range(1, 17):
         for prefix, wlen, row in _purecore.generate_halts(length, rows)[0]:
             head, payloads, outputs, steps = _purecore.class_strings(length, prefix, wlen, row)
+            shared = _purecore.spell_payloads(wlen, b"01")
+            spelled = _purecore.class_strings(length, prefix, wlen, row, shared)
+            outputs = list(outputs)
+            assert spelled[1] is shared and spelled[3] == steps
+            assert [spelled[0], *shared, *spelled[2]] == [s.encode() for s in (head, *payloads, *outputs)]
             programs = [head + w for w in payloads]
             assert programs == [pair_to_bits((prefix << wlen) | w, length) for w in range(1 << wlen)]
             outputs, steps = list(outputs), list(islice(count(*steps), 1 << wlen))
@@ -479,8 +485,8 @@ def test_log_lines_are_the_events_as_json(registry):
     for budget in (Budget(16, 15), Budget(18)):
         res = enumerate_domain(Machine(REGISTRIES[registry]), budget)
         header, *blocks = _log_blocks(res)
-        lines = "".join(blocks).splitlines(keepends=True)
-        assert lines == [json.dumps(ev._asdict(), sort_keys=True) + "\n" for ev in res.events], budget
+        lines = b"".join(block for _, block in blocks).splitlines(keepends=True)
+        assert lines == [json.dumps(ev._asdict(), sort_keys=True).encode() + b"\n" for ev in res.events], budget
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
@@ -490,12 +496,15 @@ def test_log_blocks_are_whole_lines(registry):
     At L = 18 the raw and square classes of 17 and 18 bits hold more than
     _COMPARE_BLOCK events, so their runs are split, and the zero-run lines
     of 18 bits are long enough that their blocks are cut near _BLOCK_CHARS.
+    Each block comes with its line count, which load_log adds up unscanned.
     """
     res = enumerate_domain(Machine(REGISTRIES[registry]), Budget(18))
-    header, *blocks = _log_blocks(res)
-    assert header.count("\n") == 1 and header.endswith("\n")
-    sizes = [block.count("\n") for block in blocks]
-    assert all(block.endswith("\n") for block in blocks)
+    (header_lines, header), *counted = _log_blocks(res)
+    assert header_lines == header.count(b"\n") == 1 and header.endswith(b"\n")
+    blocks = [block for _, block in counted]
+    sizes = [block.count(b"\n") for block in blocks]
+    assert [lines for lines, _ in counted] == sizes
+    assert all(block.endswith(b"\n") for block in blocks)
     assert 1 <= min(sizes) and max(sizes) == _COMPARE_BLOCK and sum(sizes) == sum(res.halts.values())
     assert max(map(len, blocks)) < 2 * _BLOCK_CHARS < sum(map(len, blocks))
     assert any(_BLOCK_CHARS // 2 < len(block) and size < _COMPARE_BLOCK for block, size in zip(blocks, sizes))
@@ -646,9 +655,10 @@ def test_load_log_names_the_line_at_every_block_edge(tmp_path, enum14):
     write_log(enum14, path)
     lines = path.read_bytes().splitlines(keepends=True)
     edges, n = set(), 1
-    for block in _log_blocks(enum14):
-        edges |= {n, n + block.count("\n") - 1}
-        n += block.count("\n")
+    for size, block in _log_blocks(enum14):
+        assert size == block.count(b"\n")
+        edges |= {n, n + size - 1}
+        n += size
     assert n == len(lines) + 1 and len(edges) > 20
     for n in sorted(edges):
         for name, edited, line in _block_edits(lines, n):
@@ -670,6 +680,7 @@ def test_event_line_is_json(ev, cut):
     The program is split into a head, held by the template, and a payload.
     """
     head, payload = ev.program[:cut], ev.program[cut:]
-    fixed = (_EVENT_LINE % (head, ev.round, ev.steps)) % (ev.output, payload, ev.seq)
-    varying = (_EVENT_LINE % (head, ev.round, "%d")) % (ev.output, payload, ev.seq, ev.steps)
-    assert fixed == varying == json.dumps(ev._asdict(), sort_keys=True) + "\n"
+    head, payload, output = head.encode(), payload.encode(), ev.output.encode()
+    fixed = (_EVENT_LINE % (head, ev.round, b"%d" % ev.steps)) % (output, payload, ev.seq)
+    varying = (_EVENT_LINE % (head, ev.round, b"%d")) % (output, payload, ev.seq, ev.steps)
+    assert fixed == varying == json.dumps(ev._asdict(), sort_keys=True).encode() + b"\n"

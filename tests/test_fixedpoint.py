@@ -162,6 +162,23 @@ def test_constants_are_least(enum14, consts):
     assert Fraction(1, 1 << (consts.c_lower - 1)) > ln2_lo * l1 * term
 
 
+def test_constants_take_the_x1_stream_once(enum14, monkeypatch):
+    """derive_constants builds the x = 1 stream once; default_context once for c and once in cst_lower."""
+    thresholds = []
+    build = EnumerationResult.compressible_stream
+
+    def counted(self, threshold):
+        thresholds.append(threshold)
+        return build(self, threshold)
+
+    monkeypatch.setattr(EnumerationResult, "compressible_stream", counted)
+    assert derive_constants(enum14, T, t) == GapConstants(T, t, c_upper=0, c_lower=21, n0=3, n1=1, n2=3)
+    assert thresholds == [1]
+    thresholds.clear()
+    assert default_context(enum14, T, t).c == 21
+    assert thresholds == [1, 1]
+
+
 def test_constants_validation(enum14):
     for build in (derive_constants, default_context):
         with pytest.raises(ValueError):
