@@ -70,12 +70,12 @@ def expansion_prefix(value: Fraction, n: int, *, ones: bool = False) -> str:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    frac = value - (value.numerator // value.denominator)
-    scaled = frac * (1 << n)
+    den = value.denominator
+    frac = value.numerator % den  # the fractional part is frac / den
     if ones:
         if frac == 0:
             raise ValueError("expansion with infinitely many ones needs a nonzero fractional part")
-        k = -(-scaled.numerator // scaled.denominator) - 1  # ceil - 1
+        k = -((-frac << n) // den) - 1  # ceil - 1
     else:
-        k = scaled.numerator // scaled.denominator
+        k = (frac << n) // den
     return format(k, f"0{n}b")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_PREC, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 
 from .bits import nat_to_string
 from .enumerator import EnumerationResult, _check_memory
@@ -58,7 +58,7 @@ def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> li
 
 def write_profile_csv(rows: list[CensusRow], path) -> None:
     """The rows as CSV, each written as the csv module's excel dialect writes it."""
-    with open(path, "w", newline="") as fh, localcontext(prec=MAX_PREC):
+    with open(path, "w", newline="") as fh, localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX)):
         fh.write("n,count,two_pow_n,gap,h_upper_n\r\n")
         n, two_pow_n = 0, Decimal(1)
         for row in rows:

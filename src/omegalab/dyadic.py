@@ -2,14 +2,15 @@
 
 Dyadic numbers are num / 2**exp with arbitrary-size integer numerators.
 All arithmetic here is exact; the only rounding in the package happens in
-pow2_enclosure, which rounds outward so that enclosures are always sound.
+the enclosures of 2**(-num/den) that pow2_enclosure takes and _running_sums
+adds up, which round outward so that they are always sound.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, log2
@@ -121,17 +122,13 @@ class Dyadic:
         return self.num != 0
 
     def __repr__(self) -> str:
-        return f"Dyadic({Decimal(self.num)}, {self.exp})"
+        return f"Dyadic({_digits(self.num)}, {self.exp})"
 
     def decimal(self) -> str:
-        """Exact decimal string (dyadics have terminating decimals).
-
-        Digits go through Decimal, which has no int-to-string digit limit.
-        """
+        """Exact decimal string (dyadics have terminating decimals): the digits of num * 5**exp."""
         num, exp = self.num, self.exp
         sign = "-" if num < 0 else ""
-        num = abs(num) * 5 ** exp
-        digits = str(Decimal(num)).rjust(exp + 1, "0")
+        digits = _digits(abs(num), exp).rjust(exp + 1, "0")
         whole, frac = digits[: len(digits) - exp], digits[len(digits) - exp :]
         return sign + (f"{whole}.{frac}" if frac else whole)
 
@@ -147,6 +144,23 @@ class Dyadic:
         if scaled % 5 ** exp:
             raise ValueError(f"{s} is not an exact dyadic decimal")
         return cls((-scaled if sign else scaled) // 5 ** exp, exp)
+
+
+def _digits(n: int, fives: int = 0) -> str:
+    """str(n * 5**fives) with no digit limit, in Decimal arithmetic exact to MAX_PREC digits.
+
+    libmpdec multiplies fast; only Decimal(int) is quadratic, so n is split in halves first.
+    """
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX)):
+        return str(_by_halves(n) * Decimal(5) ** fives)
+
+
+def _by_halves(n: int) -> Decimal:
+    """Decimal(n), recombined from its halves with a power of two above 2**16 bits; needs an exact context."""
+    k = n.bit_length() >> 1
+    if k < 1 << 15:
+        return Decimal(n)
+    return _by_halves(n >> k) * Decimal(2) ** k + _by_halves(n & ((1 << k) - 1))
 
 
 @dataclass(frozen=True)
@@ -198,53 +212,82 @@ def pow2_enclosure(num: int, den: int, prec: int) -> DyadicInterval:
     a square-root ladder over the exponent's binary digits.  Both round
     outward, so the enclosure is always sound.
     """
-    return DyadicInterval.from_row(SharedRootPow2(prec)._endpoints(num, den))
+    return DyadicInterval.from_row(_endpoints(num, den, prec, {}, {}))
 
 
-class SharedRootPow2:
-    """Enclosures of 2**(-num/den) at one precision, computing one root per denominator.
+def _endpoints(num: int, den: int, prec: int, roots: dict, rungs: dict) -> tuple[int, int, int]:
+    """Integers (a, b, e) with a/2**e <= 2**(-num/den) <= b/2**e, width <= 2**-prec.
 
-    The first time a reduced denominator den <= 64 is needed, the floor root
-    floor(2**(prec + 1 - r/den)) of every residue 0 < r < den is filled from
-    one den-th root (_fill_roots); exponents of one partial sum reduce
-    to different denominators (|s| * 5/4 gives 4, 2 or 1), so roots are kept
-    per den.  The ladder's chain of square roots depends only on its working
-    precision: one is kept per precision.
+    den 1 is exact and den > 64 takes the ladder over rungs.  Otherwise,
+    with r = num % den and q = num // den, roots[den][r] =
+    floor(2**(prec + 1 - r/den)) is den's root for residue r, filled on
+    first use (_fill_roots).  With shift = prec, or q + 1 + prec when
+    num/den > prec, floor(2**(shift - num/den)) == root >> (prec + 1 - (shift - q)),
+    a shift that is never negative.  Tables shared by calls at one prec
+    take one root per denominator and one rung chain per working precision.
     """
+    if num < 0 or den < 1 or prec < 1:
+        raise ValueError("need num >= 0, den >= 1, prec >= 1")
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return 1, 1, num
+    if den > _ROOT_METHOD_MAX_DEN:
+        return _pow2_by_ladder(num, den, prec, rungs)
+    residues = roots.get(den)
+    if residues is None:
+        residues = roots[den] = _fill_roots(prec, den)
+    q, r = divmod(num, den)
+    shift = prec if prec * den >= num else q + 1 + prec
+    floor = residues[r] >> (prec + 1 - (shift - q))
+    return floor, floor + 1, shift
 
-    __slots__ = ("prec", "_roots", "_rungs")
 
-    def __init__(self, prec: int):
-        if prec < 1:
-            raise ValueError("need prec >= 1")
-        self.prec = prec
-        self._roots: dict[int, list[int]] = {}
-        self._rungs: dict[int, list[tuple[int, int]]] = {}
+def _running_sums(terms, x: Fraction, prec: int):
+    """Running sums of n * 2**(-l/x), one term per (l, n) in terms, as integers (lo, hi, e).
 
-    def _endpoints(self, num: int, den: int) -> tuple[int, int, int]:
-        """Integers (a, b, e) with a/2**e <= 2**(-num/den) <= b/2**e, width <= 2**-self.prec.
+    Each yield encloses the sum so far in [lo/2**e, hi/2**e]: every term's
+    _endpoints are added into two integers at the largest exponent seen so
+    far, so no interval is built per term.  Addition is exact, so each
+    yield equals the term-by-term DyadicInterval sum bit for bit.  One
+    root and rung table serves every term.  Past prec (l * q > prec * p),
+    _endpoints' exponent is the quotient plus a constant of the residue
+    (shift q + 1 + prec, the ladder's work + q), so with qq, r =
+    divmod(l * q, p) a term is residue r's unit (a, b, f - qq), taken by one
+    _endpoints, with qq added back: a divmod and a lookup per term.
+    """
+    if prec < 1:
+        raise ValueError("need prec >= 1")
+    p, q = x.numerator, x.denominator
+    limit = prec * p
+    roots, rungs, units = {}, {}, {}  # den -> residue roots, work -> rungs, residue -> unit
+    lo = hi = e = 0
+    for length, n in terms:
+        num = length * q
+        if num <= limit:
+            a, b, f = _endpoints(num, p, prec, roots, rungs)
+        else:
+            qq, r = divmod(num, p)
+            unit = units.get(r)
+            if unit is None:
+                a, b, f = _endpoints(num, p, prec, roots, rungs)
+                units[r] = a, b, f - qq
+            else:
+                a, b, f = unit
+                f += qq
+        if f > e:
+            lo, hi, e = lo << (f - e), hi << (f - e), f
+        else:
+            a, b = a << (e - f), b << (e - f)
+        lo += n * a
+        hi += n * b
+        yield lo, hi, e
 
-        den 1 is exact and den > 64 takes the ladder.  Otherwise, with
-        r = num % den and q = num // den, root = floor(2**(prec + 1 - r/den)) is
-        den's root for residue r.  With shift = prec, or q + 1 + prec when
-        num/den > prec, floor(2**(shift - num/den)) == root >> (prec + 1 - (shift - q)),
-        a shift that is never negative.
-        """
-        if num < 0 or den < 1:
-            raise ValueError("need num >= 0, den >= 1")
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        if den == 1:
-            return 1, 1, num
-        if den > _ROOT_METHOD_MAX_DEN:
-            return _pow2_by_ladder(num, den, self.prec, self._rungs)
-        roots = self._roots.get(den)
-        if roots is None:
-            roots = self._roots[den] = _fill_roots(self.prec, den)
-        q, r = divmod(num, den)
-        shift = self.prec if self.prec * den >= num else q + 1 + self.prec
-        floor = roots[r] >> (self.prec + 1 - (shift - q))
-        return floor, floor + 1, shift
+
+def _scaled_lt(a: int, sa: int, b: int, sb: int) -> bool:
+    """a * 2**sa < b * 2**sb, in integers: a row end lo/2**e or hi/2**e against a rational, cross-multiplied."""
+    s = min(sa, sb)
+    return a << (sa - s) < b << (sb - s)
 
 
 def _fill_roots(prec: int, den: int) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bits import pair_to_bits
-from .dyadic import DyadicInterval
+from .dyadic import DyadicInterval, _scaled_lt
 from .enumerator import CompressibleStream, EnumerationResult, _check_memory
 from .measures import Walk, _pow2_sum, _prefix
 
@@ -44,7 +44,7 @@ def _cutoff(walk: Walk, alpha_prefix: str) -> int:
     Lower ends, compared exactly, keep the strict inequality sound under outward rounding.
     """
     alpha = int(alpha_prefix or "0", 2)
-    while walk.row[0] << len(alpha_prefix) <= alpha << walk.row[2]:
+    while not _scaled_lt(alpha, walk.row[2], walk.row[0], len(alpha_prefix)):
         if next(walk, None) is None:
             raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
     return walk.k

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .bits import expansion_prefix, pair_to_bits
-from .dyadic import Dyadic, DyadicInterval
+from .dyadic import Dyadic, DyadicInterval, _scaled_lt, pow2_enclosure
 from .enumerator import EnumerationResult
 from .extractor import NoCutoff, _cutoff
 from .machine import Machine, OutcomeKind, phi
@@ -90,15 +90,14 @@ def _ceil_log2(x: Fraction) -> int:
 def _c_lower(lengths, T: Fraction, t: Fraction, prec: int) -> int:
     """Least c >= 0 with 2**-c <= ln2 |s_1| 2**(-|s_1|/T), at lower bounds; checks derive_constants' inputs.
 
-    lengths are the x = 1 stream's, and z_k(enum, 1, T, prec) is the sum of
-    its first term alone.
+    lengths are the x = 1 stream's; 2**(-|s_1|/T) is enclosed alone, as z_k(enum, 1, T, prec) encloses it.
     """
     if not 0 < T < t < 1:
         raise ValueError("need 0 < T < t < 1")
     if not lengths:
         raise ReconstructFailed("empty compressible stream at this budget")
     l1 = lengths[0]
-    z1 = DyadicInterval.from_row(_pow2_sum({l1: 1}, T, prec))
+    z1 = pow2_enclosure(l1 * T.denominator, T.numerator, prec)
     lower = ln2_enclosure(max(prec, 32))[0] * l1 * z1.lo.as_fraction()
     if lower <= 0:
         raise ReconstructFailed("first-term lower bound vanished; raise prec")
@@ -136,12 +135,6 @@ def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConsta
 
     n2 = max(n0, n1, c_upper + 1)
     return GapConstants(T, t, c_upper, c_lower, n0, n1, n2)
-
-
-def _scaled_lt(a: int, sa: int, b: int, sb: int) -> bool:
-    """a * 2**sa < b * 2**sb, in integers."""
-    s = min(sa, sb)
-    return a << (sa - s) < b << (sb - s)
 
 
 def _upper_holds(zx: tuple, zT: tuple, gap: Fraction, c: int) -> bool:
@@ -305,7 +298,7 @@ def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiCo
     g_max = max(ctx.g, default=0)
     for f_l in ctx.f:
         _, hi, e = walk(f_l).to(k0)
-        if hi * g_max.denominator < g_max.numerator << e:
+        if _scaled_lt(hi * g_max.denominator, 0, g_max.numerator, e):
             return _Frame(k0, expansion_prefix(f_l, n))
     raise ReconstructFailed("no certified (l0, m0) pair within the context tables")
 

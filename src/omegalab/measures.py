@@ -6,8 +6,8 @@ terms are 2**(-k) for integer k are exact dyadics; rational temperatures
 introduce terms 2**(-num/den) which are enclosed by outward-rounded
 intervals of per-term width <= 2**-prec.  No floating point anywhere.
 Inside the package a sum stays an integer row (lo, hi, e), the enclosure
-[lo/2**e, hi/2**e]; DyadicInterval.from_row wraps one only where a public
-function returns it.
+[lo/2**e, hi/2**e], as dyadic._running_sums yields it; DyadicInterval.from_row
+wraps one only where a public function returns it.
 A whole sum reads only per-length counts: the result's halts for the
 halting sums, a stream's length histogram for the others.  A partial sum
 S_k is the whole sum of the first k lengths' histogram, or a forward Walk
@@ -20,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 
-from .dyadic import Dyadic, DyadicInterval, SharedRootPow2
+from .dyadic import Dyadic, DyadicInterval, _running_sums
 from .enumerator import EnumerationResult
 
 
@@ -31,45 +31,6 @@ def _as_temperature(T) -> Fraction:
     return t
 
 
-def _running_sums(pow2: SharedRootPow2, terms, x: Fraction):
-    """Running sums of n * 2**(-l/x), one term per (l, n) in terms, as integers (lo, hi, e).
-
-    Each yield encloses the sum so far in [lo/2**e, hi/2**e]: every term's
-    enclosure endpoints are added into two integers at the largest exponent
-    seen so far, so no interval is built per term.  Addition is exact, so
-    each yield equals the term-by-term DyadicInterval sum bit for bit.
-    Past prec, with qq, r = divmod(l * q, p), _endpoints(l * q, p) is the
-    unit (a, b, f) of residue r with qq added to f: (root, root + 1,
-    prec + 1) on the root path, the ladder's (lo, hi, work), or (1, 1, 0)
-    when r = 0.  So one _endpoints per residue gives its unit, and a term
-    there costs a divmod and a lookup.
-    """
-    p, q = x.numerator, x.denominator
-    limit = pow2.prec * p
-    units: dict[int, tuple[int, int, int]] = {}
-    lo = hi = e = 0
-    for length, n in terms:
-        num = length * q
-        if num <= limit:
-            a, b, f = pow2._endpoints(num, p)
-        else:
-            qq, r = divmod(num, p)
-            unit = units.get(r)
-            if unit is None:
-                a, b, f = pow2._endpoints(num, p)
-                units[r] = a, b, f - qq
-            else:
-                a, b, f = unit
-                f += qq
-        if f > e:
-            lo, hi, e = lo << (f - e), hi << (f - e), f
-        else:
-            a, b = a << (e - f), b << (e - f)
-        lo += n * a
-        hi += n * b
-        yield lo, hi, e
-
-
 class Walk:
     """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a length sequence, read forward.
 
@@ -78,7 +39,7 @@ class Walk:
 
     def __init__(self, lengths, x, prec: int):
         self.k, self.row = 0, (0, 0, 0)
-        self._running = _running_sums(SharedRootPow2(prec), zip(lengths, repeat(1)), _as_temperature(x))
+        self._running = _running_sums(zip(lengths, repeat(1)), _as_temperature(x), prec)
 
     def __iter__(self):
         return self
@@ -98,12 +59,12 @@ class Walk:
 def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
     """Row (lo, hi, e) enclosing sum n 2**(-l/x) over the items (l, n) of histogram, in one pass.
 
-    This is _running_sums' last value: exact integers added at the largest
+    This is dyadic._running_sums' last value: exact integers added at the largest
     exponent, so no grouping or order of the terms changes it, and it equals
     the term-by-term sum (a Walk's last row) bit for bit.
     """
     row = (0, 0, 0)
-    for row in _running_sums(SharedRootPow2(prec), histogram.items(), _as_temperature(x)):
+    for row in _running_sums(histogram.items(), _as_temperature(x), prec):
         pass
     return row
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from omegalab.bits import (
@@ -83,3 +83,32 @@ def test_expansion_prefix_brackets(value, n):
     assert lo <= value < lo + Fraction(1, 1 << n)
     hi = bit_prefix_value(expansion_prefix(value, n, ones=True))
     assert hi < value <= hi + Fraction(1, 1 << n)
+
+
+def former_expansion_prefix(value, n, ones=False):
+    """expansion_prefix as it was before it took its floor in integers: Fraction arithmetic, the oracle."""
+    frac = value - (value.numerator // value.denominator)
+    scaled = frac * (1 << n)
+    if ones:
+        k = -(-scaled.numerator // scaled.denominator) - 1  # ceil - 1
+    else:
+        k = scaled.numerator // scaled.denominator
+    return format(k, f"0{n}b")
+
+
+# any sign and whole part; dyadic values with denominators up to 2**10000, where ones=True is exact at n >= k
+values = st.one_of(
+    st.fractions(),
+    st.builds(lambda num, k: Fraction(num, 1 << k), st.integers(), st.integers(min_value=0, max_value=10000)),
+)
+
+
+@given(values, st.integers(min_value=1, max_value=10040), st.booleans())
+@example(Fraction(-3, 1 << 10000), 10000, True)
+@example(Fraction(1, 1 << 9999), 10040, True)
+def test_expansion_prefix_matches_former_formula(value, n, ones):
+    if ones and value.denominator == 1:
+        with pytest.raises(ValueError):
+            expansion_prefix(value, n, ones=True)
+    else:
+        assert expansion_prefix(value, n, ones=ones) == former_expansion_prefix(value, n, ones)

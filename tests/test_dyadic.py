@@ -11,8 +11,9 @@ from omegalab import dyadic
 from omegalab.dyadic import (
     Dyadic,
     DyadicInterval,
-    SharedRootPow2,
+    _endpoints,
     _fill_roots,
+    _scaled_lt,
     iroot,
     pow2_enclosure,
 )
@@ -24,7 +25,7 @@ dyadics = st.builds(
 )
 
 
-# SharedRootPow2 takes den-th roots, den <= 64, of powers of two of (prec + 1 + guard) * den bits:
+# _fill_roots takes den-th roots, den <= 64, of powers of two of (prec + 1 + guard) * den bits:
 # at prec 96 after one retry, guard 32, that is up to (96 + 1 + 32) * 64 bits
 @given(st.integers(min_value=0, max_value=1 << ((96 + 1 + 32) * 64)), st.integers(min_value=1, max_value=64))
 def test_iroot_bracket(x, n):
@@ -74,9 +75,18 @@ def test_dyadic_arithmetic_matches_fractions(a, b):
     assert (a < b) == (a.as_fraction() < b.as_fraction())
 
 
+def former_decimal(d):
+    """Dyadic.decimal as it was before its digits were built by halves, through one Decimal(int): the oracle."""
+    sign = "-" if d.num < 0 else ""
+    digits = str(Decimal(abs(d.num) * 5 ** d.exp)).rjust(d.exp + 1, "0")
+    whole, frac = digits[: len(digits) - d.exp], digits[len(digits) - d.exp :]
+    return sign + (f"{whole}.{frac}" if frac else whole)
+
+
 @given(dyadics)
 def test_decimal_roundtrip(d):
     assert Dyadic.from_decimal(d.decimal()) == d
+    assert d.decimal() == former_decimal(d)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +108,20 @@ def test_from_decimal_accepts_only_what_decimal_prints(text):
     # exponents, underscores and special values used to slip through Decimal
     with pytest.raises(ValueError):
         Dyadic.from_decimal(text)
+
+
+# numerator bits and exponent: numerators past 2**16 bits are split in halves, past 2**17 twice
+@pytest.mark.parametrize(
+    "bits, exp",
+    [(0, 0), (1, 0), (64, 0), (70000, 0), (140000, 0), (300000, 0), (1, 150000), (70000, 150000),
+     (150000, 20000), (1000, 100000), (64, 61)],
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_decimal_and_repr_match_former_formula(bits, exp, sign):
+    num = sign * (random.Random(bits + exp).getrandbits(bits) | min(bits, 1))
+    d = Dyadic(num, exp)
+    assert d.decimal() == former_decimal(d)
+    assert repr(d) == f"Dyadic({Decimal(d.num)}, {d.exp})"
 
 
 def test_repr_past_int_str_digit_limit():
@@ -177,25 +201,30 @@ exponents = st.tuples(st.integers(min_value=0, max_value=3000), st.integers(min_
 
 @given(st.integers(min_value=1, max_value=200), st.lists(exponents, max_size=40))
 def test_shared_root_matches_pow2_enclosure(prec, terms):
-    # one sharer across terms whose exponents reduce to different denominators
-    shared = SharedRootPow2(prec)
+    # one root table across terms whose exponents reduce to different denominators
+    roots, rungs = {}, {}
     for num, den in terms:
         want = direct_root_enclosure(num, den, prec)
         assert pow2_enclosure(num, den, prec) == want
-        assert DyadicInterval.from_row(shared._endpoints(num, den)) == want
+        assert DyadicInterval.from_row(_endpoints(num, den, prec, roots, rungs)) == want
+    assert set(roots) == {den // gcd(num, den) for num, den in terms} - {1}
+    assert not rungs
 
 
 @pytest.mark.parametrize("prec", [1, 8, 64, 96, 200])
 def test_shared_root_mixed_denominators(prec):
     # |s| / (4/5) = 5|s|/4 reduces to den 4, 2 or 1 inside one table
-    shared = SharedRootPow2(prec)
+    roots, rungs = {}, {}
     for length in range(1, 120):
-        got = DyadicInterval.from_row(shared._endpoints(5 * length, 4))
+        got = DyadicInterval.from_row(_endpoints(5 * length, 4, prec, roots, rungs))
         assert got == direct_root_enclosure(5 * length, 4, prec)
+    assert set(roots) == {4, 2}
     for num, den in ((3, 100), (7, 65), (12, 6)):  # ladder path and an integer exponent
-        assert DyadicInterval.from_row(shared._endpoints(num, den)) == pow2_enclosure(num, den, prec)
-    with pytest.raises(ValueError):
-        SharedRootPow2(0)
+        assert DyadicInterval.from_row(_endpoints(num, den, prec, roots, rungs)) == pow2_enclosure(num, den, prec)
+    assert set(roots) == {4, 2} and rungs
+    for num, den in ((1, 2), (4, 2), (3, 100)):  # root path, exact, ladder
+        with pytest.raises(ValueError):
+            pow2_enclosure(num, den, 0)
 
 
 @pytest.mark.parametrize("prec", [1, 2, 8, 64, 96, 200])
@@ -239,9 +268,11 @@ def test_endpoints_root_path_match_former_formula(data, prec, den, above):
     num, den = (q * den + r) // g, den // g
     assert (num > prec * den) == above
     want = former_pow2_by_root(num, den, prec)
-    shared = SharedRootPow2(prec)
-    assert shared._endpoints(num, den) == want
-    assert shared._endpoints(3 * num, 3 * den) == want  # unreduced, from the kept root
+    roots = {}
+    assert _endpoints(num, den, prec, roots, {}) == want
+    kept = roots[den]
+    assert _endpoints(3 * num, 3 * den, prec, roots, {}) == want  # unreduced, from the kept root
+    assert roots == {den: kept} and roots[den] is kept
     lo, hi, e = want
     assert DyadicInterval.from_row(want) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
     assert pow2_enclosure(num, den, prec) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
@@ -249,7 +280,7 @@ def test_endpoints_root_path_match_former_formula(data, prec, den, above):
 
 @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=300), precs)
 def test_endpoints_integer_exponent_match_pow2(k, den, prec):
-    a, b, e = SharedRootPow2(prec)._endpoints(k * den, den)
+    a, b, e = _endpoints(k * den, den, prec, {}, {})
     assert (a, b, e) == (1, 1, k)
     assert Dyadic(a, e) == Dyadic.pow2(k)
 
@@ -294,15 +325,18 @@ def test_ladder_rungs_are_built_once_per_working_precision(prec):
         if den // gcd(num, den) > 64:
             terms += [(num, den)] * rng.randint(1, 2)  # some exponents repeat
     rng.shuffle(terms)
-    shared = SharedRootPow2(prec)
+    roots, rungs = {}, {}
     works = set()
     for num, den in terms:
         g = gcd(num, den)
         want = former_pow2_by_ladder(num // g, den // g, prec)
-        assert shared._endpoints(num, den) == want
+        kept = dict(rungs)
+        assert _endpoints(num, den, prec, roots, rungs) == want
+        assert all(rungs[work] is chain for work, chain in kept.items())  # no chain is rebuilt
         works.update(range(prec + 16, want[2] - num // den + 1, 32))  # e = work + q
-    assert set(shared._rungs) == works
-    assert all(len(chain) == work for work, chain in shared._rungs.items())
+    assert set(rungs) == works
+    assert all(len(chain) == work for work, chain in rungs.items())
+    assert not roots
 
 
 @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=65, max_value=400), precs)
@@ -310,7 +344,12 @@ def test_endpoints_ladder_path_match_ladder(num, den, prec):
     g = gcd(num, den)
     assume(den // g > 64)
     want = former_pow2_by_ladder(num // g, den // g, prec)
-    assert SharedRootPow2(prec)._endpoints(num, den) == want
+    assert _endpoints(num, den, prec, {}, {}) == want
     lo, hi, e = want
     assert pow2_enclosure(num, den, prec) == DyadicInterval(Dyadic(lo, e), Dyadic(hi, e))
     _brackets(num, den, prec)
+
+
+@given(st.integers(), st.integers(min_value=0, max_value=300), st.integers(), st.integers(min_value=0, max_value=300))
+def test_scaled_lt_matches_fractions(a, sa, b, sb):
+    assert _scaled_lt(a, sa, b, sb) == (Fraction(a * 2**sa) < Fraction(b * 2**sb))

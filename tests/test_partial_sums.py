@@ -200,4 +200,6 @@ def test_whole_sum_edges(enum14):
     with pytest.raises(ValueError):
         _pow2_sum({3: 1, 6: 1}, Fraction(1, 3), 0)
     with pytest.raises(ValueError):
+        _pow2_sum({}, Fraction(1, 3), 0)
+    with pytest.raises(ValueError):
         cst_lower(enum14, Fraction(1, 3), prec=0)
