@@ -26,9 +26,11 @@ table as a grammar, emitting the halting codeword classes of one length in
 program order and counting every outcome, and least_program reads it
 backwards, from an output to its least program.  A halting class (prefix,
 wlen, row) stands for the programs prefix w, one per payload w of wlen bits;
-class_strings spells their payloads, program head, outputs and step counts,
-as str or as bytes, class_bits sums their program and output bits, and
-first_printed gives the lengths of the outputs they print first.
+class_strings spells their payloads, program head, outputs and step counts
+(class_steps), as str or as bytes, output_columns says which payload bit
+each output bit copies where outputs have one width, class_bits sums their
+program and output bits, and first_printed gives the lengths of the outputs
+they print first.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -211,6 +213,32 @@ def class_bits(length: int, wlen: int, row: int) -> int:
     return size * (length + _output(row, 0, wlen)[1])
 
 
+def class_steps(length: int, wlen: int, row: int):
+    """(first, grow): the steps of a length-bit class's first payload, and how many more each next one takes.
+
+    A payload takes its reads, its output bits and one halt, so the steps
+    grow by 1 a payload on the zero-run row and by 0 on the others.
+    """
+    return length + _output(row, 0, wlen)[1] + 1, int(row == 2)
+
+
+def output_columns(wlen: int, row: int):
+    """The payload bit, 0 the first, that each output bit copies on rows 0, 1 and REVERSE.
+
+    The raw row copies the payload once, the square row twice and REVERSE
+    reversed, so every output of such a class has the same width.  None on
+    the zero-run row, whose outputs are zeros that grow by one bit a payload.
+    """
+    if row == 2:
+        return None
+    bits = range(wlen)
+    if row == 0:
+        return bits
+    if row == 1:
+        return [*bits, *bits]
+    return bits[::-1]
+
+
 def spell_payloads(wlen: int, bits="01"):
     """Every wlen-bit payload in increasing order, spelled over bits: "01" as str, b"01" as bytes."""
     return list(map(bits[:0].join, product((bits[:1], bits[1:]), repeat=wlen)))
@@ -222,9 +250,7 @@ def class_strings(length: int, prefix: int, wlen: int, row: int, payloads=None):
     Strings are bits: a payload's program is head + payload, and the
     payloads come as a list, spell_payloads(wlen) unless a caller passes
     that list, str or bytes, to share it between classes of one width; the
-    head and outputs are spelled like it.  steps is (first, grow): the first
-    payload takes first steps, its reads, output bits and one halt, and each
-    next one grow more, 1 on the zero-run row and 0 on the others.  Payloads
+    head and outputs are spelled like it.  steps is class_steps.  Payloads
     come out in increasing order, spelled by C-level iterators; no program
     is decoded.
     """
@@ -234,9 +260,9 @@ def class_strings(length: int, prefix: int, wlen: int, row: int, payloads=None):
     head, zero = format(prefix, f"0{length - wlen}b"), "0"
     if isinstance(payloads[0], bytes):
         head, zero = head.encode(), b"0"
+    steps = class_steps(length, wlen, row)
     if row == 2:  # zero run: payload w outputs olen + w bits
-        return head, payloads, map(zero.__mul__, range(olen, olen + len(payloads))), (length + olen + 1, 1)
-    steps = (length + olen + 1, 0)
+        return head, payloads, map(zero.__mul__, range(olen, olen + len(payloads))), steps
     if row == 0:
         return head, payloads, payloads, steps
     if row == 1:

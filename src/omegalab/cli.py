@@ -40,11 +40,14 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
+    """Write the JSON artifact to out_path and name it on stdout, or, with no path, print the artifact."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    sys.stdout.write(text)
+        sys.stdout.write(f"wrote {out_path}\n")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_enumerate(args) -> int:

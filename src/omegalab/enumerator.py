@@ -17,15 +17,23 @@ program order, so taking lengths in turn gives the canonical
 
 A result is these class runs, with the outcome counts and per-length halt
 counts; no event is spelled to get one.  Its readers take what they need
-from the runs: the log formats each run's lines as bytes, a block at a
-time, from payload lists spelled once per width and shared by every run of
-that width, and H_up(s) and its witness come from the least scheduled
+from the runs: the log builds each run's lines as bytes, a block at a
+time, and H_up(s) and its witness come from the least scheduled
 program that prints s (_purecore.least_program).  In run order an output's
 first event is its least program, so it qualifies for a compressible
 stream if any event does, and enters from the run that holds that program:
 a stream counts its members from the runs (_purecore.first_printed) and
 spells them only when read, as a result does its events.  This keeps
 enumeration stateless, replayable and deterministic.
+
+On rows 0, 1 and REVERSE every line of a run has one width between powers
+of ten of its seq, so a block of them is its line template repeated, with
+the columns that change written by strided slices: a payload bit is a
+periodic pattern of 0s and 1s, an output bit is a payload bit (once on the
+raw row, twice on the square row, reversed on REVERSE), and a seq digit is
+a periodic pattern of digits.  No payload of these rows is spelled.  A
+zero-run output grows by a bit a line, so a zero-run block is one % of the
+template over its lines' fields, with payloads spelled once per width.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from io import BytesIO
 from itertools import chain, count, islice, repeat, zip_longest
 from typing import NamedTuple
@@ -251,7 +259,7 @@ def _enumerate(machine: Machine, budget: Budget, max_bits=float("inf")) -> Enume
 # and int seq, round and steps.
 _EVENT_LINE = b'{"output": "%%s", "program": "%s%%s", "round": %d, "seq": %%d, "steps": %s}\n'
 
-# Lines formatted at once, and compared at once by load_log against as many
+# Lines built at once, and compared at once by load_log against as many
 # bytes of the file: at most _COMPARE_BLOCK, and fewer where a run's lines
 # are long, so that a block of zero runs stays near _BLOCK_CHARS characters.
 _COMPARE_BLOCK = 256
@@ -261,33 +269,121 @@ _BLOCK_CHARS = 1 << 15
 def _run_blocks(runs):
     """(lines, block) for the event lines of each run in turn, in blocks of at most _COMPARE_BLOCK lines.
 
-    Each block is bytes, one % of the run's line template repeated over its
-    events' fields, taken from the run by C-level iterators; the template is
-    repeated once per run, and lines is the block's line count.  The
-    payloads of each width are spelled once per call and shared by every run
-    of that width: the raw, square, zero-run and REVERSE rows at neighbouring
-    lengths have equal widths.  A line holds the template and, on average,
-    class_bits >> wlen program and output bits.
+    Each block is bytes-like, whole lines of one run, and lines is its line
+    count.  A run has one line template, _EVENT_LINE with its head, round
+    and, except on the zero-run row, its steps.  Rows 0, 1 and REVERSE are
+    built by columns (_column_blocks), and no payload of theirs is spelled.
+    A zero-run output grows by a bit a line, so a zero-run block is one % of
+    the template repeated over its lines' fields, from payloads spelled once
+    per width and shared by every zero run of that width.  A line holds the
+    template and, on average, class_bits >> wlen program and output bits.
     """
     seq = 1
-    spelled = {}  # wlen: every wlen-bit payload, as bytes
+    spelled = {}  # wlen: every wlen-bit payload, as bytes, for the zero-run rows
     for length, prefix, wlen, row in runs:
-        if wlen not in spelled:
-            spelled[wlen] = _purecore.spell_payloads(wlen, b"01")
-        head, payloads, outputs, (first, grow) = _purecore.class_strings(length, prefix, wlen, row, spelled[wlen])
-        if grow:
+        columns = _purecore.output_columns(wlen, row)
+        if columns is None:
+            if wlen not in spelled:
+                spelled[wlen] = _purecore.spell_payloads(wlen, b"01")
+            head, payloads, outputs, (first, _) = _purecore.class_strings(length, prefix, wlen, row, spelled[wlen])
             line = _EVENT_LINE % (head, length, b"%d")
-            fields = zip(outputs, payloads, count(seq), count(first))
         else:
-            line = _EVENT_LINE % (head, length, b"%d" % first)
-            fields = zip(outputs, payloads, count(seq))
+            head = format(prefix, f"0{length - wlen}b").encode()
+            line = _EVENT_LINE % (head, length, b"%d" % _purecore.class_steps(length, wlen, row)[0])
         chars = len(line) + (_purecore.class_bits(length, wlen, row) >> wlen)
-        block = max(1, min(_COMPARE_BLOCK, _BLOCK_CHARS // chars))
-        repeated = line * block
-        for rest in range(len(payloads), 0, -block):
-            n = min(rest, block)
-            yield n, (repeated if n == block else line * n) % tuple(chain.from_iterable(islice(fields, n)))
-        seq += len(payloads)
+        block = max(1, min(_COMPARE_BLOCK, _BLOCK_CHARS // chars, 1 << wlen))
+        if columns is not None:
+            yield from _column_blocks(line, columns, wlen, seq, block)
+        else:
+            fields = zip(outputs, payloads, count(seq), count(first))
+            repeated = line * block
+            for rest in range(len(payloads), 0, -block):
+                n = min(rest, block)
+                yield n, (repeated if n == block else line * n) % tuple(chain.from_iterable(islice(fields, n)))
+        seq += 1 << wlen
+
+
+def _column_blocks(line, columns, wlen, seq, block):
+    """(lines, block) for one run of fixed-width lines, from seq on, each block written by columns.
+
+    line is the run's template, with its output, payload and seq left as
+    %s, %s and %d; columns is output_columns.  A block ends where seq
+    reaches a power of ten, so that all its lines have one width.  The
+    fields are counters: payload bit j of the run's i-th line is the digit
+    of weight 2**(wlen-1-j) of i in base 2, output bit o copies payload bit
+    columns[o], and seq's digits are those of seq + i in base 10.  A block
+    is the template repeated, once each counter digit that holds for the
+    whole block is written into it, and each digit that changes within the
+    block is then written with one strided slice per column (_digit_column).
+    A block as long as the one before is that block copied, with only the
+    columns that differ between the two written.
+    """
+    # the text before the output, the payload and the seq, and after the seq
+    before_out, before_pay, before_seq, after = line.replace(b"%d", b"%s").split(b"%s")
+    out = len(before_out)
+    pay = out + len(columns) + len(before_pay)
+    bits = [[pay + j] for j in range(wlen)]  # payload bit j's offset, then those of the output bits that copy it
+    for o, j in enumerate(columns):
+        bits[j].append(out + o)
+    # (start, unit, base, offsets): the digit of weight unit in base of start + i, at these offsets of line i
+    bit_counters = [(0, 1 << k, 2, offsets) for k, offsets in enumerate(reversed(bits))]
+    size = 1 << wlen
+    i, digits = 0, len(str(seq))
+    while i < size:
+        zeros = (b"0" * len(columns), b"0" * wlen, b"0" * digits)
+        template = bytearray(b"").join((before_out, zeros[0], before_pay, zeros[1], before_seq, zeros[2], after))
+        width = len(template)
+        counters = bit_counters + [(seq, 10**k, 10, [width - len(after) - 1 - k]) for k in range(digits)]
+        buf = b""
+        while i < size and (n := min(block, size - i, 10**digits - seq - i)):
+            again = len(buf) == n * width  # the block before has as many lines
+            changing = []
+            for start, unit, base, offsets in counters:
+                first = start + i
+                q = first // unit
+                if again:
+                    # the column repeats a block on, or holds one digit over both blocks
+                    if not n % (unit * base) or (first - n) // unit == (first + n - 1) // unit:
+                        continue
+                elif q == (first + n - 1) // unit:
+                    for off in offsets:
+                        template[off] = _DIGITS[q % base]
+                    continue
+                changing.append((_digit_column(first, n, unit, base), offsets))
+            buf = bytearray(buf) if again else template * n
+            for column, offsets in changing:
+                for off in offsets:
+                    buf[off::width] = column
+            yield n, buf
+            i += n
+        digits += 1
+
+
+def _digit_column(first, n, unit, base):
+    """The digit of weight unit in base of first, first + 1, ..., first + n - 1: n ASCII bytes.
+
+    Each digit repeats unit times, and the pattern every base * unit
+    numbers: where a digit outlasts the n numbers, the column is at most
+    two runs, and otherwise a slice of _digit_tile.  It is a bytearray,
+    which a bytearray's strided slice takes without a copy.
+    """
+    if unit >= n:
+        q, r = divmod(first, unit)
+        lead = min(unit - r, n)
+        digit, following = q % base, (q + 1) % base
+        return bytearray(_DIGITS[digit : digit + 1] * lead + _DIGITS[following : following + 1] * (n - lead))
+    start = first % (unit * base)
+    return _digit_tile(unit, base)[start : start + n]
+
+
+@cache
+def _digit_tile(unit, base):
+    """The digits of weight unit < _COMPARE_BLOCK in base of 0, 1, 2, ...: whole periods, one more than a block."""
+    period = b"".join(_DIGITS[d : d + 1] * unit for d in range(base))
+    return bytearray(period * (_COMPARE_BLOCK // len(period) + 2))
+
+
+_DIGITS = b"0123456789"
 
 
 def _log_blocks(result: EnumerationResult):

@@ -47,9 +47,10 @@ def test_measure_writes_artifact(log14, tmp_path, capsys):
         ["measure", "--quantity", "cst", "--T", "1/2", "--log", str(log14), "--out", str(out)]
     )
     assert code == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
     d = json.loads(out.read_text())
     assert d["T"] == "1/2"
-    assert d["machine"] == json.loads(capsys.readouterr().out)["machine"]
+    assert d["machine"] == load_log(log14).machine_digest
 
 
 def test_census_csv(log14, tmp_path, capsys):
