@@ -30,7 +30,7 @@ class_strings spells their payloads, program head, outputs and step counts
 (class_steps), as str or as bytes, output_columns says which payload bit
 each output bit copies where outputs have one width, class_bits sums their
 program and output bits, and first_printed gives the lengths of the outputs
-they print first.
+they print first, as segments of equal counts.
 
 Every class halts within 2**L steps, L its codeword length: it takes
 L + |output| + 1 steps, where |output| <= 2*wlen < 2*L on rows 0, 1 and
@@ -42,7 +42,7 @@ short, and no class needs a budget to be generated.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import itemgetter, mul
 
 from .bits import gamma_encode
@@ -270,25 +270,27 @@ def class_strings(length: int, prefix: int, wlen: int, row: int, payloads=None):
     return head, payloads, map(itemgetter(slice(None, None, -1)), payloads), steps
 
 
-def first_printed(length: int, wlen: int, row: int, cut: int = -1):
-    """Lengths of the outputs longer than cut that a length-bit class prints first, in payload order.
+def first_printed(length: int, wlen: int, row: int, cut: int = -1) -> list[tuple[int, int, int]]:
+    """The outputs longer than cut that a length-bit class prints first, as segments (a, b, n): n of each a <= m < b.
 
     An output is printed first by its least program (least_program).  On rows
     0, 1 and REVERSE, the least programs of m-bit outputs of one kind (0**m,
     another square, or neither) share a row, so one output of each kind is
-    asked; 0**k from a zero run has raw and square programs of more than
-    k / 2 bits, so only k < 2 * length is asked.
+    asked, for one segment; 0**k from a zero run has raw and square programs
+    of more than k / 2 bits, so only k < 2 * length is asked, a point each.
     """
     header = "{:0{}b}".format(*_HEADER[min(row, 3)])  # REVERSE is branch 3, which no least program takes
     size = 1 << wlen
     if row == 2:
         ks = range(max(cut + 1, size - 1), 2 * size - 1)
         low = max(0, 2 * length - ks.start)  # how many k lie below 2 * length
-        return chain((k for k in ks[:low] if least_program("0" * k, length).startswith(header)), ks[low:])
+        points = [(k, k + 1, 1) for k in ks[:low] if least_program("0" * k, length).startswith(header)]
+        return points + [(ks.start + low, ks.stop, 1)] if ks.start + low < ks.stop else points
     m = _output(row, 0, wlen)[1]
     squares = (1 << m // 2) - 1 if m % 2 == 0 else 0  # ww with w != 0**(m/2)
     kinds = ((1, "0" * m), (squares, "1" * m), (size - 1 - squares, "1" + "0" * (m - 1))) if m > cut else ()
-    return repeat(m, sum(n for n, s in kinds if n and least_program(s, length).startswith(header)))
+    n = sum(n for n, s in kinds if n and least_program(s, length).startswith(header))
+    return [(m, m + 1, n)] if n else []
 
 
 def least_program(s: str, max_len: int) -> str | None:

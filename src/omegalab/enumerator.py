@@ -22,7 +22,7 @@ time, and H_up(s) and its witness come from the least scheduled
 program that prints s (_purecore.least_program).  In run order an output's
 first event is its least program, so it qualifies for a compressible
 stream if any event does, and enters from the run that holds that program:
-a stream counts its members from the runs (_purecore.first_printed) and
+a stream counts its members as segments (_purecore.first_printed) and
 spells them only when read, as a result does its events.  This keeps
 enumeration stateless, replayable and deterministic.
 
@@ -93,8 +93,8 @@ class CompressibleStream:
     runs: tuple[tuple[int, int, int, int], ...]
 
     @cached_property
-    def lengths(self) -> tuple[int, ...]:
-        """|s_i| for every member, in stream order, as _purecore.first_printed counts them."""
+    def segments(self) -> tuple[tuple[int, int, int], ...]:
+        """(a, b, n) in stream order: n members at each length a <= m < b, as _purecore.first_printed counts them."""
         num, den = self.threshold.numerator, self.threshold.denominator
         firsts = (_purecore.first_printed(n, w, r, n * den // num) for n, _, w, r in self.runs)
         return tuple(chain.from_iterable(firsts))
@@ -102,12 +102,15 @@ class CompressibleStream:
     @cached_property
     def histogram(self) -> Counter:
         """{m: number of members of length m}: all that a whole stream sum reads."""
-        return Counter(self.lengths)
+        histogram = Counter()
+        for a, b, n in self.segments:
+            histogram.update(range(a, b) if n == 1 else dict.fromkeys(range(a, b), n))
+        return histogram
 
     @cached_property
     def members(self) -> tuple[str, ...]:
         """The member strings in stream order, spelled on first read; refused past memory before any is."""
-        _check_memory(sum(self.lengths), "the stream's members")
+        _check_memory(sum(n * (a + b - 1) * (b - a) // 2 for a, b, n in self.segments), "the stream's members")
         num, den = self.threshold.numerator, self.threshold.denominator
         members = []
         for length, prefix, wlen, row in self.runs:
@@ -119,7 +122,7 @@ class CompressibleStream:
         return tuple(members)
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return sum((b - a) * n for a, b, n in self.segments)
 
 
 class EnumerationResult:

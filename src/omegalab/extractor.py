@@ -4,8 +4,9 @@ These are the effective procedures hiding inside the convergence proofs:
 given a true binary prefix of one of the sums, find how many enumeration
 terms push the partial sum past it (the cutoff), and use the first-witness
 table to produce a string the budgeted machine cannot compress.  Both
-sum families are read as integer rows (lo, hi, e): the cutoff walks the
-partial sums forward, and a tail is a whole sum less a prefix sum.
+sum families are read as integer rows (lo, hi, e): the cutoff is a Walk's,
+which steps over the stream's pairs and bisects inside one, and a tail is
+a whole sum less a Walk's row.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bits import pair_to_bits
-from .dyadic import DyadicInterval, _scaled_lt
+from .dyadic import DyadicInterval
 from .enumerator import CompressibleStream, EnumerationResult, _check_memory
-from .measures import Walk, _pow2_sum, _prefix
+from .measures import Walk, _pow2_sum
 
 
 class NoCutoff(Exception):
@@ -38,24 +39,14 @@ def _mode_stream(enum: EnumerationResult, T, mode: str) -> tuple[CompressibleStr
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _cutoff(walk: Walk, alpha_prefix: str) -> int:
-    """Least k >= the walk's position whose row's lower end exceeds 0.alpha_prefix; the walk stops there.
-
-    Lower ends, compared exactly, keep the strict inequality sound under outward rounding.
-    """
-    alpha = int(alpha_prefix or "0", 2)
-    while not _scaled_lt(alpha, walk.row[2], walk.row[0], len(alpha_prefix)):
-        if next(walk, None) is None:
-            raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
-    return walk.k
-
-
 def find_cutoff(
     enum: EnumerationResult, alpha_prefix: str, T=1, mode: str = "cs", prec: int = 64
 ) -> int:
     """Least k with (certified lower bound of) sum of first k terms > 0.alpha_prefix."""
     stream, x = _mode_stream(enum, T, mode)
-    return _cutoff(Walk(stream.lengths, x, prec), alpha_prefix)
+    if (k := Walk(stream.segments, x, prec).cutoff(alpha_prefix)) is None:
+        raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
+    return k
 
 
 def extract_incompressible(
@@ -107,5 +98,5 @@ def tail_after_cutoff(
     width of S_k.
     """
     stream, x = _mode_stream(enum, T, mode)
-    head = _pow2_sum(_prefix(stream.lengths, k), x, prec)
+    head = Walk(stream.segments, x, prec).to(k)
     return DyadicInterval.from_row(_pow2_sum(stream.histogram, x, prec)) - DyadicInterval.from_row(head)

@@ -21,9 +21,8 @@ from functools import cache, partial
 from .bits import expansion_prefix, pair_to_bits
 from .dyadic import Dyadic, DyadicInterval, _scaled_lt, pow2_enclosure
 from .enumerator import EnumerationResult
-from .extractor import NoCutoff, _cutoff
 from .machine import Machine, OutcomeKind, phi
-from .measures import Walk, _pow2_sum, _prefix, cs_lower, cst_lower
+from .measures import Walk, _pow2_sum, cs_lower, cst_lower
 
 
 class ReconstructFailed(Exception):
@@ -41,17 +40,12 @@ def ln2_enclosure(terms: int = 64) -> tuple[Fraction, Fraction]:
 
 def z_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} 2**(-|s_i|/x); exact when the exponents are integers."""
-    return DyadicInterval.from_row(_pow2_sum(_prefix(enum.compressible_stream(1).lengths, k), x, prec))
+    return DyadicInterval.from_row(Walk(enum.compressible_stream(1).segments, x, prec).to(k))
 
 
 def w_k(enum: EnumerationResult, k: int, x, prec: int = 64) -> DyadicInterval:
     """Enclosure of sum_{i<=k} |s_i| 2**(-|s_i|/x), in one pass that keeps nothing."""
-    return _weighted_sum(_prefix(enum.compressible_stream(1).lengths, k), x, prec)
-
-
-def _weighted_sum(histogram, x, prec: int) -> DyadicInterval:
-    """Enclosure of sum n l 2**(-l/x) over the items (l, n) of histogram: w_k over its prefix histogram."""
-    return DyadicInterval.from_row(_pow2_sum({l: l * n for l, n in histogram.items()}, x, prec))
+    return DyadicInterval.from_row(Walk(enum.compressible_stream(1).segments, x, prec, weighted=True).to(k))
 
 
 def stream_length(enum: EnumerationResult) -> int:
@@ -87,16 +81,16 @@ def _ceil_log2(x: Fraction) -> int:
     return (math.ceil(x) - 1).bit_length()
 
 
-def _c_lower(lengths, T: Fraction, t: Fraction, prec: int) -> int:
+def _c_lower(segments, T: Fraction, t: Fraction, prec: int) -> int:
     """Least c >= 0 with 2**-c <= ln2 |s_1| 2**(-|s_1|/T), at lower bounds; checks derive_constants' inputs.
 
-    lengths are the x = 1 stream's; 2**(-|s_1|/T) is enclosed alone, as z_k(enum, 1, T, prec) encloses it.
+    segments are the x = 1 stream's; 2**(-|s_1|/T) is enclosed alone, as z_k(enum, 1, T, prec) encloses it.
     """
     if not 0 < T < t < 1:
         raise ValueError("need 0 < T < t < 1")
-    if not lengths:
+    if not segments:
         raise ReconstructFailed("empty compressible stream at this budget")
-    l1 = lengths[0]
+    l1 = segments[0][0]
     z1 = pow2_enclosure(l1 * T.denominator, T.numerator, prec)
     lower = ln2_enclosure(max(prec, 32))[0] * l1 * z1.lo.as_fraction()
     if lower <= 0:
@@ -114,8 +108,8 @@ def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConsta
     T = Fraction(T)
     t = Fraction(t)
     stream = enum.compressible_stream(1)
-    c_lower = _c_lower(stream.lengths, T, t, prec)
-    w_hi = _weighted_sum(stream.histogram, t, prec).hi.as_fraction()
+    c_lower = _c_lower(stream.segments, T, t, prec)
+    w_hi = DyadicInterval.from_row(Walk(stream.segments, t, prec, weighted=True).to(len(stream))).hi.as_fraction()
     c_upper = _ceil_log2(w_hi * ln2_enclosure(max(prec, 32))[1] / (T * T))
 
     # n0: least n such that 0.(T|n) + 2**-n < t for every n' >= n.  Beyond
@@ -168,8 +162,8 @@ def _lower_point(constants: GapConstants, t) -> Fraction:
 def check_upper_gap(enum, k: int, constants: GapConstants, x, prec: int = 96) -> bool:
     """Certified instance of: Z_k(x) - Z_k(T) < 2**c_upper (x - T)."""
     x = _upper_point(constants, x)
-    prefix = _prefix(enum.compressible_stream(1).lengths, k)
-    zx, zT = _pow2_sum(prefix, x, prec), _pow2_sum(prefix, constants.T, prec)
+    segments = enum.compressible_stream(1).segments
+    zx, zT = (Walk(segments, y, prec).to(k) for y in (x, constants.T))
     return _upper_holds(zx, zT, x - constants.T, constants.c_upper)
 
 
@@ -178,8 +172,8 @@ def check_lower_gap(enum, k: int, constants: GapConstants, t, prec: int = 96) ->
     if k < 1:
         raise ValueError("lower gap needs k >= 1 (the first stream element)")
     t = _lower_point(constants, t)
-    prefix = _prefix(enum.compressible_stream(1).lengths, k)
-    zt, zT = _pow2_sum(prefix, t, prec), _pow2_sum(prefix, constants.T, prec)
+    segments = enum.compressible_stream(1).segments
+    zt, zT = (Walk(segments, y, prec).to(k) for y in (t, constants.T))
     return _lower_holds(zt, zT, t - constants.T, constants.c_lower)
 
 
@@ -198,11 +192,15 @@ def upper_gap_sweep(enum, constants: GapConstants, xs, prec: int = 96) -> bool:
 
 
 def lower_gap_sweep(enum, constants: GapConstants, t, prec: int = 96) -> bool:
-    """check_lower_gap at every k = 1 .. stream length: the walks at t and T side by side, keeping no row."""
-    t = _lower_point(constants, t)
-    zt, zT = (Walk(enum.compressible_stream(1).lengths, x, prec) for x in (t, constants.T))
-    gap, c = t - constants.T, constants.c_lower
-    return all(_lower_holds(a, b, gap, c) for a, b in zip(zt, zT))
+    """The lower gap at every k = 1 .. stream length, certified at k = 1 alone.
+
+    Step k adds 2**(-l_k/t) - 2**(-l_k/T) > 0 to the true Z_k(t) - Z_k(T),
+    since t > T, and the right side does not depend on k, so a certified
+    instance at k = 1 proves the inequality at every k.  check_lower_gap at
+    a larger k adds each term's rounding, and fails where the gap holds
+    once a term's two enclosures, each at most 2**-prec wide, overlap.
+    """
+    return check_lower_gap(enum, 1, constants, t, prec)
 
 
 def check_floor_identities(constants: GapConstants, n: int) -> tuple[bool, bool]:
@@ -269,7 +267,7 @@ def default_context(enum: EnumerationResult, T, t, prec: int = 96) -> PhiContext
     """
     T = Fraction(T)
     t = Fraction(t)
-    c = _c_lower(enum.compressible_stream(1).lengths, T, t, prec)
+    c = _c_lower(enum.compressible_stream(1).segments, T, t, prec)
     f = tuple(T + (t - T) / (1 << l) for l in range(1, _DEPTH + 1))
     g = (cst_lower(enum, T, prec=8 + _DEPTH).lo.as_fraction(),)
     return PhiContext(f, g, c, prec)
@@ -288,11 +286,9 @@ def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiCo
     """
     if n < 1:
         raise ReconstructFailed("n must be positive")
-    walk = walk or cache(partial(Walk, enum.compressible_stream(1).lengths, prec=ctx.prec))
-    try:
-        k0 = _cutoff(walk(Fraction(1)), cs_prefix)
-    except NoCutoff:
-        raise ReconstructFailed("partial sums never exceed the given prefix") from None
+    walk = walk or cache(partial(Walk, enum.compressible_stream(1).segments, prec=ctx.prec))
+    if (k0 := walk(Fraction(1)).cutoff(cs_prefix)) is None:
+        raise ReconstructFailed("partial sums never exceed the given prefix")
     # Some g(m) exceeds z_hi exactly when the largest does; z_hi > 0, so an
     # empty g certifies nothing.
     g_max = max(ctx.g, default=0)
@@ -366,7 +362,7 @@ def reconstruction_roundtrips(enum: EnumerationResult, T, ns, ctx: PhiContext) -
     cs = cs_lower(enum).as_fraction()
     if cs == 0:
         raise ReconstructFailed("compressible-string sum is zero at this budget")
-    walk = cache(partial(Walk, enum.compressible_stream(1).lengths, prec=ctx.prec))
+    walk = cache(partial(Walk, enum.compressible_stream(1).segments, prec=ctx.prec))
     trips = []
     for n in ns:
         prefix = expansion_prefix(cs, -((-T.numerator * n) // T.denominator), ones=True)  # ceil(T n) bits

@@ -10,17 +10,17 @@ Inside the package a sum stays an integer row (lo, hi, e), the enclosure
 wraps one only where a public function returns it.
 A whole sum reads only per-length counts: the result's halts for the
 halting sums, a stream's length histogram for the others.  A partial sum
-S_k is the whole sum of the first k lengths' histogram, or a forward Walk
-where S_k is read at many k in order; no table of rows is kept.
+S_k is read only by a Walk, which steps over a stream's (length, count)
+pairs to any k or to a cutoff; no table of rows is kept.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, pairwise
 
-from .dyadic import Dyadic, DyadicInterval, _running_sums
+from .dyadic import Dyadic, DyadicInterval, _running_sums, _scaled_lt
 from .enumerator import EnumerationResult
 
 
@@ -32,28 +32,57 @@ def _as_temperature(T) -> Fraction:
 
 
 class Walk:
-    """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a length sequence, read forward.
+    """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a stream's segments, read forward; weighted, l_i 2**(-l_i/x).
 
-    It holds its position k and row S_k, as _running_sums yields it, and no other row.
+    It steps by (length, count) pairs and holds only the member count and
+    _running_sums' row at both ends of the pair it is in: inside a pair every
+    member adds one term at one exponent, so row k there is an exact integer
+    interpolation between the two.
     """
 
-    def __init__(self, lengths, x, prec: int):
-        self.k, self.row = 0, (0, 0, 0)
-        self._running = _running_sums(zip(lengths, repeat(1)), _as_temperature(x), prec)
+    def __init__(self, segments, x, prec: int, weighted: bool = False):
+        counts = (n for a, b, n in segments for _ in range(a, b))
+        terms = ((m, m * n if weighted else n) for a, b, n in segments for m in range(a, b))
+        ends = zip(accumulate(counts), _running_sums(terms, _as_temperature(x), prec))
+        self._pairs = pairwise(chain([(0, (0, 0, 0))], ends))
+        self._pair = ((-1, (0, 0, 0)), (0, (0, 0, 0)))  # row 0, as the end of a pair before the stream
+        self._size = sum((b - a) * n for a, b, n in segments)
+        self.k = 0  # the position, past the start of the walk's pair
 
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> tuple[int, int, int]:
-        self.row = next(self._running)
-        self.k += 1
-        return self.row
+    def _row(self, k: int) -> tuple[int, int, int]:
+        """Row k, for k past the start of the walk's pair and up to its end, at the end's exponent."""
+        (base, (lo0, hi0, e0)), (top, (lo, hi, e)) = self._pair
+        lo0, hi0 = lo0 << (e - e0), hi0 << (e - e0)
+        return lo0 + (lo - lo0) * (k - base) // (top - base), hi0 + (hi - hi0) * (k - base) // (top - base), e
 
     def to(self, k: int) -> tuple[int, int, int]:
-        """Row k, for the walk's position <= k <= the number of lengths."""
-        while self.k < k:
-            next(self)
-        return self.row
+        """Row k, for the walk's position <= k <= the stream's length; the walk moves to k."""
+        if not self.k <= k <= self._size:
+            raise ValueError(f"k={k} out of range (walk at {self.k}, stream length {self._size})")
+        while self._pair[1][0] < k:
+            self._pair = next(self._pairs)
+        self.k = k
+        return self._row(k)
+
+    def cutoff(self, prefix: str) -> int | None:
+        """Least k >= the walk's position whose row's lower end exceeds 0.prefix, where the walk moves; None if none.
+
+        Lower ends, compared exactly, keep the strict inequality sound under
+        outward rounding.  They only grow, so the walk steps to the first
+        pair whose end exceeds 0.prefix and bisects inside it.
+        """
+        alpha, bits = int(prefix or "0", 2), len(prefix)
+
+        def exceeds(k):
+            return _scaled_lt(alpha, self._pair[1][1][2], self._row(k)[0], bits)
+
+        while not exceeds(self._pair[1][0]):
+            if self._pair[1][0] == self._size:
+                return None
+            self._pair = next(self._pairs)
+        ks = range(max(self.k, self._pair[0][0] + 1), self._pair[1][0] + 1)
+        self.k = ks[bisect_left(ks, True, key=exceeds)]
+        return self.k
 
 
 def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
@@ -67,13 +96,6 @@ def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
     for row in _running_sums(histogram.items(), _as_temperature(x), prec):
         pass
     return row
-
-
-def _prefix(lengths, k: int) -> Counter:
-    """Histogram of the first k lengths, 0 <= k <= len(lengths): its _pow2_sum is a Walk's row k."""
-    if not 0 <= k <= len(lengths):
-        raise ValueError(f"k={k} out of range (stream length {len(lengths)})")
-    return Counter(lengths[:k])
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:

@@ -147,19 +147,25 @@ def test_fixedpoint_checks_64_floor_identities_from_n2(log14, capsys, monkeypatc
 
 
 def test_fixedpoint_derives_the_constants_once(log14, capsys, monkeypatch):
-    calls = {"derive_constants": 0, "_weighted_sum": 0}
-    for name in calls:
-        original = getattr(fixedpoint, name)
+    """One derive_constants, and in it the one weighted walk, W(t)."""
+    calls = {"derive_constants": 0, "weighted walks": 0}
+    original = fixedpoint.derive_constants
 
-        def counted(*args, original=original, name=name, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls["derive_constants"] += 1
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(fixedpoint, name, counted)
+    class Counted(fixedpoint.Walk):
+        def __init__(self, *args, weighted=False, **kwargs):
+            calls["weighted walks"] += weighted
+            super().__init__(*args, weighted=weighted, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "derive_constants", counted)
+    monkeypatch.setattr(fixedpoint, "Walk", Counted)
     capsys.readouterr()
     assert main(["fixedpoint", "--T", "1/2", "--t", "3/4", "--n-max", "4", "--log", str(log14)]) == 0
     assert json.loads(capsys.readouterr().out)["roundtrip_all_ok"]
-    assert calls == {"derive_constants": 1, "_weighted_sum": 1}
+    assert calls == {"derive_constants": 1, "weighted walks": 1}
 
 
 def test_empty_error_message_names_the_exception(monkeypatch, capsys):

@@ -37,6 +37,16 @@ REGISTRIES = {
     # g(1) = 1 sorts after g(2) = 010: index order would misplace e = 1's rows
     "reverse1-reverse2": {1: ReversePayloadDecoder(), 2: ReversePayloadDecoder()},
 }
+
+
+def expand(segments) -> tuple[int, ...]:
+    """The lengths that (a, b, n) segments stand for, in order: n of each a <= m < b.
+
+    Expanding a stream's segments gives |s_i| for every member, in stream order.
+    """
+    return tuple(m for a, b, n in segments for m in range(a, b) for _ in range(n))
+
+
 _decoded = {}
 
 
@@ -364,7 +374,8 @@ def test_stream_first_witness_order():
                 want = _stream_by_events(res.events, t)
                 stream = res.compressible_stream(t)
                 assert list(stream.members) == want, (registry, budget, t)
-                assert stream.lengths == tuple(map(len, want)) and stream.histogram == Counter(map(len, want))
+                assert expand(stream.segments) == tuple(map(len, want))
+                assert stream.histogram == Counter(map(len, want))
 
 
 @pytest.mark.parametrize("registry", sorted(REGISTRIES))
@@ -380,7 +391,7 @@ def test_stream_matches_the_reference_halting_set(registry):
                     want.setdefault(s, None)
             stream = res.compressible_stream(t)
             assert list(stream.members) == list(want), (max_len, t)
-            assert stream.lengths == tuple(map(len, want)), (max_len, t)
+            assert expand(stream.segments) == tuple(map(len, want)), (max_len, t)
 
 
 def former_stream(res, t):
@@ -408,7 +419,7 @@ def test_stream_matches_the_former_string_path(max_len):
         for t in map(Fraction, ("1", "1/2", "2/3", "5/6", "3/2")):
             want = former_stream(res, t)
             stream = res.compressible_stream(t)
-            assert stream.lengths == tuple(map(len, want)), (registry, t)
+            assert expand(stream.segments) == tuple(map(len, want)), (registry, t)
             assert stream.histogram == Counter(map(len, want)), (registry, t)
             if max_len == 19:
                 assert list(stream.members) == want, (registry, t)
@@ -432,8 +443,10 @@ def test_first_printed_counts_the_least_programs():
                 assert not first
             bits = {len(outputs[0]), len(outputs[-1]), length, 2 * length}
             for cut in {-1, *(b + d for b in bits for d in (-1, 0))}:
-                got = list(_purecore.first_printed(length, wlen, row, cut))
-                assert got == [b for b in first if b > cut], (length, prefix, cut)
+                segments = _purecore.first_printed(length, wlen, row, cut)
+                assert all(a < b and n > 0 for a, b, n in segments)
+                got = expand(segments)
+                assert got == tuple(b for b in first if b > cut), (length, prefix, cut)
 
 
 @pytest.mark.parametrize("budget", [Budget(16), Budget(14, 11)], ids=str)

@@ -16,6 +16,7 @@ from omegalab.extractor import (
 )
 from omegalab.machine import LoopForeverDecoder, ReversePayloadDecoder
 from omegalab.measures import Walk, cs_lower
+from test_enumerator import expand
 
 
 def test_cutoff_on_true_prefix(enum14):
@@ -45,7 +46,7 @@ def test_cutoff_on_prefixes_longer_than_the_table_exponent(enum_at, L, mode, T):
     # member, so e_K + 40 bits spell every S_k exactly and one unit in the
     # last place below it.
     enum = enum_at(L)
-    lengths = enum.compressible_stream(1 if mode == "cs" else T).lengths
+    lengths = expand(enum.compressible_stream(1 if mode == "cs" else T).segments)
     bits = max(lengths) + 40
     value = Fraction(0)
     for k, length in enumerate(lengths, start=1):
@@ -73,7 +74,8 @@ def test_cutoff_walk_matches_bisect_over_the_rows(enum_at, L, mode, T):
     enum = enum_at(L)
     stream = enum.compressible_stream(1 if mode == "cs" else T)
     x = T if mode == "cs" else 1
-    rows = [(0, 0, 0), *Walk(stream.lengths, x, 64)]
+    walk = Walk(stream.segments, x, 64)
+    rows = [walk.to(k) for k in range(len(stream) + 1)]
     total = DyadicInterval.from_row(rows[-1]).lo.as_fraction()
     prefixes = [""] + [expansion_prefix(total, m, ones=True) for m in range(1, 40)] + ["1" * 16]
     for prefix in prefixes:

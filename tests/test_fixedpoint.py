@@ -40,6 +40,7 @@ from omegalab.fixedpoint import (
 from omegalab.machine import Machine, ReversePayloadDecoder, raw_program
 from omegalab.bits import gamma_encode, nat_to_string
 from omegalab.measures import Walk, cs_lower, cst_lower
+from test_enumerator import expand
 
 T = Fraction(1, 2)
 t = Fraction(3, 4)
@@ -155,7 +156,7 @@ def test_constants_are_least(enum14, consts):
     ln2_lo, ln2_hi = ln2_enclosure(96)
     w_hi = w_k(enum14, 115, t, 96).hi.as_fraction()
     assert Fraction(1 << consts.c_upper) >= w_hi * ln2_hi / (T * T)
-    l1 = enum14.compressible_stream(1).lengths[0]
+    l1 = expand(enum14.compressible_stream(1).segments)[0]
     e = Fraction(l1) / T
     term = pow2_enclosure(e.numerator, e.denominator, 96).lo.as_fraction()
     assert Fraction(1, 1 << consts.c_lower) <= ln2_lo * l1 * term
@@ -213,9 +214,9 @@ def test_roundtrips_walk_each_temperature_once(enum14, monkeypatch, pair):
     walks = Counter()
 
     class Counted(Walk):
-        def __init__(self, lengths, x, prec):
+        def __init__(self, segments, x, prec):
             walks[Fraction(x)] += 1
-            super().__init__(lengths, x, prec)
+            super().__init__(segments, x, prec)
 
     monkeypatch.setattr(fixedpoint, "Walk", Counted)
     trips = reconstruction_roundtrips(enum14, T0, range(1, 61), ctx)
@@ -310,6 +311,16 @@ def test_sweeps_equal_per_k_checks(enum14, pair):
     assert_sweeps_match_per_k(enum14, *pair)
 
 
+def synthetic(segments, monkeypatch):
+    """A result whose x = 1 stream has these segments, and the histogram: what the sums read."""
+    lengths = expand(segments)
+    enum = EnumerationResult([], Budget(1), "synthetic", {}, {"halt": len(lengths)}, {1: len(lengths)})
+    stream = CompressibleStream(Fraction(1), ())
+    vars(stream).update(segments=tuple(segments), histogram=Counter(lengths))
+    monkeypatch.setattr(enum, "compressible_stream", lambda threshold: stream)
+    return enum
+
+
 @pytest.mark.parametrize("lengths", [(40, 41, 42, 3), (40, 3, 4, 5)], ids=str)
 def test_sweeps_reach_both_ends_of_the_stream(lengths, monkeypatch):
     """Streams whose first or last element alone decides a sweep.
@@ -319,12 +330,24 @@ def test_sweeps_reach_both_ends_of_the_stream(lengths, monkeypatch):
     only k = K fail the upper gap, and a long first member only k = 1 the
     lower one.
     """
-    enum = EnumerationResult([], Budget(1), "synthetic", {}, {"halt": len(lengths)}, {1: len(lengths)})
-    stream = CompressibleStream(Fraction(1), ())
-    vars(stream).update(lengths=lengths, histogram=Counter(lengths))  # what the sums read
-    monkeypatch.setattr(enum, "compressible_stream", lambda threshold: stream)
-    assert enum.compressible_stream(1).lengths == lengths
+    enum = synthetic([(m, m + 1, 1) for m in lengths], monkeypatch)
+    assert expand(enum.compressible_stream(1).segments) == lengths
     assert_sweeps_match_per_k(enum, Fraction(1, 2), Fraction(3, 4))
+
+
+def test_lower_sweep_certifies_the_gap_where_wider_checks_cannot(monkeypatch):
+    """The check at k = 1 proves the lower gap at every k, where a check at k = K, wider by K terms' rounding, fails.
+
+    With t - T = 2**-50, the 3,000 members of 60 bits after one of 40 have
+    enclosures at t and T that overlap at prec 96, so the certified left
+    side shrinks with k; at prec 200 the check at k = K holds.
+    """
+    T0, t0 = Fraction(9, 10), Fraction(9, 10) + Fraction(1, 1 << 50)
+    enum = synthetic([(40, 41, 1), (60, 61, 3000)], monkeypatch)
+    consts = derive_constants(enum, T0, t0)
+    assert lower_gap_sweep(enum, consts, t0) and check_lower_gap(enum, 1, consts, t0)
+    assert not check_lower_gap(enum, 3001, consts, t0)
+    assert check_lower_gap(enum, 3001, consts, t0, prec=200)
 
 
 def test_floor_identities(consts):
@@ -388,8 +411,8 @@ def test_roundtrip_selected_n(enum14, ctx):
 @pytest.mark.parametrize("max_len, registry", [(14, {}), (18, {}), (14, {1: ReversePayloadDecoder()})])
 def test_roundtrip_reads_cs_lower_from_the_cutoff_table(max_len, registry):
     enum = enumerate_domain(Machine(registry), Budget(max_len))
-    lengths = enum.compressible_stream(1).lengths
-    last = DyadicInterval.from_row(Walk(lengths, 1, 64).to(len(lengths)))
+    stream = enum.compressible_stream(1)
+    last = DyadicInterval.from_row(Walk(stream.segments, 1, 64).to(len(stream)))
     assert last.lo == last.hi == cs_lower(enum)
     ctx = default_context(enum, T, t)
     for n in (1, 5, 12):

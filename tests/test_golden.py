@@ -75,13 +75,27 @@ def cases() -> dict[str, tuple[list[str], list[str]]]:
     return out
 
 
+def cases_l20() -> dict[str, tuple[list[str], list[str]]]:
+    """The cases run on the L = 20 log, as cases() gives them.
+
+    Its x = 1 stream has 5,105 members in 2,037 (length, count) pairs, two of
+    which hold 1,023 and 2,047 members of one length, and most cutoffs land
+    inside those two: at L = 14 every pair holds one member.
+    """
+    out = {}
+    for T, t in (("1/2", "3/4"), ("2/3", "4/5")):
+        name = f"fixedpoint_{_tag(T)}_{_tag(t)}_L20"
+        out[name] = (["fixedpoint", "--T", T, "--t", t, "--out", f"{name}.json"], [f"{name}.json"])
+    return out
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _make_log(workdir: Path) -> Path:
-    log = workdir / "log14.jsonl"
-    assert main(["enumerate", "--max-len", "14", "--out", str(log)]) == 0
+def _make_log(workdir: Path, max_len: int = 14) -> Path:
+    log = workdir / f"log{max_len}.jsonl"
+    assert main(["enumerate", "--max-len", str(max_len), "--out", str(log)]) == 0
     return log
 
 
@@ -94,7 +108,7 @@ def _make_registry_log(workdir: Path) -> Path:
 
 
 def _run(workdir: Path, log: Path, name: str) -> dict[str, str]:
-    argv, files = cases()[name]
+    argv, files = {**cases(), **cases_l20()}[name]
     argv = [a if not a.endswith((".json", ".csv", ".jsonl")) else str(workdir / a) for a in argv]
     assert main(argv + ["--log", str(log)]) == 0
     return {f: _digest(workdir / f) for f in files}
@@ -109,6 +123,12 @@ def golden():
 def log14(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("golden")
     return workdir, _make_log(workdir)
+
+
+@pytest.fixture(scope="module")
+def log20(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden20")
+    return workdir, _make_log(workdir, 20)
 
 
 def test_log_digest(golden, log14):
@@ -128,6 +148,14 @@ def test_artifact_digest(golden, log14, name, capsys):
     assert got == {f: golden[f] for f in got}
 
 
+@pytest.mark.parametrize("name", sorted(cases_l20()))
+def test_artifact_digest_l20(golden, log20, name, capsys):
+    workdir, log = log20
+    got = _run(workdir, log, name)
+    capsys.readouterr()
+    assert {"log20.jsonl": _digest(log), **got} == {f: golden[f] for f in ("log20.jsonl", *got)}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         workdir = Path(tmp)
@@ -135,5 +163,9 @@ if __name__ == "__main__":
         digests = {"log14.jsonl": _digest(log)}
         digests["registry14.jsonl"] = _digest(_make_registry_log(workdir))
         for name in sorted(cases()):
+            digests.update(_run(workdir, log, name))
+        log = _make_log(workdir, 20)
+        digests["log20.jsonl"] = _digest(log)
+        for name in sorted(cases_l20()):
             digests.update(_run(workdir, log, name))
     sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
