@@ -288,9 +288,24 @@ def first_printed(length: int, wlen: int, row: int, cut: int = -1) -> list[tuple
         return points + [(ks.start + low, ks.stop, 1)] if ks.start + low < ks.stop else points
     m = _output(row, 0, wlen)[1]
     squares = (1 << m // 2) - 1 if m % 2 == 0 else 0  # ww with w != 0**(m/2)
-    kinds = ((1, "0" * m), (squares, "1" * m), (size - 1 - squares, "1" + "0" * (m - 1))) if m > cut else ()
-    n = sum(n for n, s in kinds if n and least_program(s, length).startswith(header))
+    kinds = ((1, 0), (squares, (1 << m) - 1), (size - 1 - squares, 1 << m >> 1)) if m > cut else ()
+    n = sum(n for n, v in kinds if n and least_program(output_kind(1 << m | v), length).startswith(header))
     return [(m, m + 1, n)] if n else []
+
+
+def output_kind(marked: int) -> str:
+    """A string of the length and kind of s, marked = int('1' + s, 2): all that least_program reads of s.
+
+    The kinds are 0**m, another square ww, and neither; an m-bit s of value
+    v is a square when m is even and 2**(m/2) + 1 divides v, as ww = w (2**(m/2) + 1).
+    """
+    m = marked.bit_length() - 1
+    v = marked - (1 << m)
+    if v == 0:
+        return "0" * m
+    if m % 2 == 0 and v % ((1 << m // 2) + 1) == 0:
+        return "1" * m
+    return "1" + "0" * (m - 1)
 
 
 def least_program(s: str, max_len: int) -> str | None:

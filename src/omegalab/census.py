@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
+from functools import cache
 
+from ._purecore import output_kind
 from .bits import nat_to_string
 from .enumerator import EnumerationResult, _check_memory
 
@@ -53,7 +55,9 @@ def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> li
     if n_max is None:
         n_max = max(histogram, default=0)
     _check_memory(3 * n_max * (n_max + 1) // 20, "the two_pow_n digits of the census rows")
-    return [_row(enum, n, histogram) for n in range(n_max + 1)]
+    h_upper = cache(enum.complexity_upper)
+    # the string of n is bin(n + 1) less its leading 1, and H_up reads only its length and kind
+    return [CensusRow(n, histogram[n], h_upper(output_kind(n + 1))) for n in range(n_max + 1)]
 
 
 def write_profile_csv(rows: list[CensusRow], path) -> None:

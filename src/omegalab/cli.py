@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import census as census_mod
 from . import enumerator, extractor, fixedpoint, measures
@@ -146,7 +147,9 @@ def cmd_fixedpoint(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept; main dispatches on the command's name."""
     parser = argparse.ArgumentParser(prog="omegalab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -155,11 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=_positive, default=32)
     p.add_argument("--workers", type=_positive, default=1, help="accepted and ignored")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="replay a log against its machine and budget")
     p.add_argument("--log", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure", help="evaluate one of the five sums from a log")
     p.add_argument("--quantity", choices=["omega", "cs", "z", "cst", "csbt"], required=True)
@@ -167,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=_positive, default=64)
     p.add_argument("--log", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("census", help="per-length compressible-string census CSV")
     p.add_argument("--T", type=_fraction, default=Fraction(1))
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--members", default=None, help="optional JSONL membership dump")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("extract", help="produce a budget-incompressible string")
     p.add_argument("--n", type=_positive, required=True)
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["cs", "csb"], default="cs")
     p.add_argument("--log", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fixedpoint", help="gap constants, inequality sweeps, reconstruction")
     p.add_argument("--T", type=_fraction, required=True)
@@ -193,16 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=_positive, default=96)
     p.add_argument("--log", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fixedpoint)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:  # runtime failures -> exit 1, usage already exits 2
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 
 Dyadic numbers are num / 2**exp with arbitrary-size integer numerators.
 All arithmetic here is exact; the only rounding in the package happens in
-the enclosures of 2**(-num/den) that pow2_enclosure takes and _running_sums
+the enclosures of 2**(-num/den) that pow2_enclosure takes and _segment_sums
 adds up, which round outward so that they are always sound.
 """
 
@@ -243,45 +243,63 @@ def _endpoints(num: int, den: int, prec: int, roots: dict, rungs: dict) -> tuple
     return floor, floor + 1, shift
 
 
-def _running_sums(terms, x: Fraction, prec: int):
-    """Running sums of n * 2**(-l/x), one term per (l, n) in terms, as integers (lo, hi, e).
+def _segment_sums(x: Fraction, prec: int, weighted: bool = False):
+    """The function (a, b, n) -> row (lo, hi, e) enclosing sum n 2**(-l/x), weighted n l 2**(-l/x), over a <= l < b.
 
-    Each yield encloses the sum so far in [lo/2**e, hi/2**e]: every term's
-    _endpoints are added into two integers at the largest exponent seen so
-    far, so no interval is built per term.  Addition is exact, so each
-    yield equals the term-by-term DyadicInterval sum bit for bit.  One
-    root and rung table serves every term.  Past prec (l * q > prec * p),
-    _endpoints' exponent is the quotient plus a constant of the residue
-    (shift q + 1 + prec, the ladder's work + q), so with qq, r =
-    divmod(l * q, p) a term is residue r's unit (a, b, f - qq), taken by one
-    _endpoints, with qq added back: a divmod and a lookup per term.
+    Terms are _endpoints added exactly at the largest exponent of any, so a
+    row is the term-by-term sum bit for bit however they are grouped.  With
+    x = p/q, past prec (l q > prec p) the term at l + p is the term at l
+    with its exponent larger by q, so a residue's unit is enclosed once, and
+    a range is min(p, b - a) classes: class l, l + p, ... of J terms is its
+    first term times G = (y**J - 1) / (y - 1), y = 2**q (never formed where
+    J = 1), at its last exponent; weighted, times l G + p (G - J) / (y - 1).
     """
     if prec < 1:
         raise ValueError("need prec >= 1")
-    p, q = x.numerator, x.denominator
-    limit = prec * p
+    p, q, limit = x.numerator, x.denominator, prec * x.numerator
     roots, rungs, units = {}, {}, {}  # den -> residue roots, work -> rungs, residue -> unit
-    lo = hi = e = 0
-    for length, n in terms:
-        num = length * q
-        if num <= limit:
-            a, b, f = _endpoints(num, p, prec, roots, rungs)
-        else:
-            qq, r = divmod(num, p)
-            unit = units.get(r)
-            if unit is None:
-                a, b, f = _endpoints(num, p, prec, roots, rungs)
-                units[r] = a, b, f - qq
+
+    def sums(start: int, stop: int, n: int) -> tuple[int, int, int]:
+        past = max(start, min(stop, limit // q + 1))  # the first length past prec
+        row, firsts = (0, 0, 0), {}  # firsts: J > 1 -> the rows of the first terms of the classes of J terms
+        for length in range(start, min(stop, past + p)):
+            if length < past:
+                a, b, f = _endpoints(length * q, p, prec, roots, rungs)
             else:
-                a, b, f = unit
+                qq, r = divmod(length * q, p)
+                if r not in units:
+                    a, b, f = _endpoints(length * q, p, prec, roots, rungs)
+                    units[r] = a, b, f - qq
+                a, b, f = units[r]
                 f += qq
-        if f > e:
-            lo, hi, e = lo << (f - e), hi << (f - e), f
-        else:
-            a, b = a << (e - f), b << (e - f)
-        lo += n * a
-        hi += n * b
-        yield lo, hi, e
+            terms = 1 if length < past else -(-(stop - length) // p)  # J, the terms of length's class
+            w = n * length if weighted else n
+            if terms == 1:
+                row = _add_rows(row, (w * a, w * b, f))
+                continue
+            plain, heavy = firsts.get(terms, ((0, 0, 0), (0, 0, 0)))  # n times each first term, and w times it
+            plain = _add_rows(plain, (n * a, n * b, f))
+            firsts[terms] = plain, _add_rows(heavy, (w * a, w * b, f)) if weighted else plain
+        for terms, ((lo, hi, e), (a, b, _)) in firsts.items():
+            y = (1 << q) - 1  # G and p H of a class of J terms, both exact
+            g = ((1 << terms * q) - 1) // y
+            if weighted:
+                h = p * ((g - terms) // y)
+                lo, hi = a * g + lo * h, b * g + hi * h
+            else:
+                lo, hi = lo * g, hi * g
+            row = _add_rows(row, (lo, hi, e + (terms - 1) * q))
+        return row
+
+    return sums
+
+
+def _add_rows(row: tuple[int, int, int], other: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Two rows (lo, hi, e) added at the larger exponent."""
+    (lo, hi, e), (a, b, f) = row, other
+    if f > e:
+        return (lo << (f - e)) + a, (hi << (f - e)) + b, f
+    return lo + (a << (e - f)), hi + (b << (e - f)), e
 
 
 def _scaled_lt(a: int, sa: int, b: int, sb: int) -> bool:

@@ -5,8 +5,8 @@ given a true binary prefix of one of the sums, find how many enumeration
 terms push the partial sum past it (the cutoff), and use the first-witness
 table to produce a string the budgeted machine cannot compress.  Both
 sum families are read as integer rows (lo, hi, e): the cutoff is a Walk's,
-which steps over the stream's pairs and bisects inside one, and a tail is
-a whole sum less a Walk's row.
+which sums on over the stream's segments and bisects for k, and a tail
+is a whole sum less a Walk's row.
 """
 
 from __future__ import annotations
@@ -99,4 +99,4 @@ def tail_after_cutoff(
     """
     stream, x = _mode_stream(enum, T, mode)
     head = Walk(stream.segments, x, prec).to(k)
-    return DyadicInterval.from_row(_pow2_sum(stream.histogram, x, prec)) - DyadicInterval.from_row(head)
+    return DyadicInterval.from_row(_pow2_sum(stream.segments, x, prec)) - DyadicInterval.from_row(head)

@@ -186,9 +186,9 @@ def upper_gap_sweep(enum, constants: GapConstants, xs, prec: int = 96) -> bool:
     on k, so the inequality holds at every k iff it holds at k = K.
     """
     xs = [_upper_point(constants, x) for x in xs]
-    histogram = enum.compressible_stream(1).histogram
-    zT = _pow2_sum(histogram, constants.T, prec)
-    return all(_upper_holds(_pow2_sum(histogram, x, prec), zT, x - constants.T, constants.c_upper) for x in xs)
+    segments = enum.compressible_stream(1).segments
+    zT = _pow2_sum(segments, constants.T, prec)
+    return all(_upper_holds(_pow2_sum(segments, x, prec), zT, x - constants.T, constants.c_upper) for x in xs)
 
 
 def lower_gap_sweep(enum, constants: GapConstants, t, prec: int = 96) -> bool:

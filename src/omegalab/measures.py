@@ -6,21 +6,22 @@ terms are 2**(-k) for integer k are exact dyadics; rational temperatures
 introduce terms 2**(-num/den) which are enclosed by outward-rounded
 intervals of per-term width <= 2**-prec.  No floating point anywhere.
 Inside the package a sum stays an integer row (lo, hi, e), the enclosure
-[lo/2**e, hi/2**e], as dyadic._running_sums yields it; DyadicInterval.from_row
+[lo/2**e, hi/2**e], as dyadic._segment_sums gives it; DyadicInterval.from_row
 wraps one only where a public function returns it.
-A whole sum reads only per-length counts: the result's halts for the
-halting sums, a stream's length histogram for the others.  A partial sum
-S_k is read only by a Walk, which steps over a stream's (length, count)
-pairs to any k or to a cutoff; no table of rows is kept.
+A sum reads segments (a, b, n), n terms at each length a <= l < b, in one
+closed form each: the result's halts, a length each, for the halting sums,
+a stream's segments for the others.  A partial sum S_k is read only by a
+Walk, which sums on over a stream's segments to any k or to a cutoff; no
+table of rows is kept.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate
 
-from .dyadic import Dyadic, DyadicInterval, _running_sums, _scaled_lt
+from .dyadic import Dyadic, DyadicInterval, _add_rows, _scaled_lt, _segment_sums
 from .enumerator import EnumerationResult
 
 
@@ -34,78 +35,78 @@ def _as_temperature(T) -> Fraction:
 class Walk:
     """Partial sums S_k = sum_{i<=k} 2**(-l_i/x) over a stream's segments, read forward; weighted, l_i 2**(-l_i/x).
 
-    It steps by (length, count) pairs and holds only the member count and
-    _running_sums' row at both ends of the pair it is in: inside a pair every
-    member adds one term at one exponent, so row k there is an exact integer
-    interpolation between the two.
+    It holds only its position k and row S_k, and moves on by adding the
+    members in between, a closed form (dyadic._segment_sums) for each part
+    of a segment: the whole lengths, and a length that k splits.
     """
 
     def __init__(self, segments, x, prec: int, weighted: bool = False):
-        counts = (n for a, b, n in segments for _ in range(a, b))
-        terms = ((m, m * n if weighted else n) for a, b, n in segments for m in range(a, b))
-        ends = zip(accumulate(counts), _running_sums(terms, _as_temperature(x), prec))
-        self._pairs = pairwise(chain([(0, (0, 0, 0))], ends))
-        self._pair = ((-1, (0, 0, 0)), (0, (0, 0, 0)))  # row 0, as the end of a pair before the stream
-        self._size = sum((b - a) * n for a, b, n in segments)
-        self.k = 0  # the position, past the start of the walk's pair
+        self._segments, self._sums = segments, _segment_sums(_as_temperature(x), prec, weighted)
+        self._starts = list(accumulate(((b - a) * n for a, b, n in segments), initial=0))
+        self.k, self._row = 0, (0, 0, 0)
 
-    def _row(self, k: int) -> tuple[int, int, int]:
-        """Row k, for k past the start of the walk's pair and up to its end, at the end's exponent."""
-        (base, (lo0, hi0, e0)), (top, (lo, hi, e)) = self._pair
-        lo0, hi0 = lo0 << (e - e0), hi0 << (e - e0)
-        return lo0 + (lo - lo0) * (k - base) // (top - base), hi0 + (hi - hi0) * (k - base) // (top - base), e
+    def _on(self, k: int, row: tuple[int, int, int], top: int) -> tuple[int, int, int]:
+        """Row top, from row k <= top."""
+        i = bisect_right(self._starts, k) - 1
+        while k < top:
+            (a, _, n), start = self._segments[i], self._starts[i]
+            end = min(top, self._starts[i + 1])
+            first, last = (k - start) // n, (end - start - 1) // n  # the lengths, past a, of members k + 1 and end
+            row = _add_rows(row, self._sums(a + first, a + last + 1, n))
+            for m, extra in ((first, k - start - first * n), (last, start + (last + 1) * n - end)):
+                if extra:  # the members of the first and last lengths outside (k, end], taken off exactly
+                    row = _add_rows(row, self._sums(a + m, a + m + 1, -extra))
+            k, i = end, i + 1
+        return row
 
     def to(self, k: int) -> tuple[int, int, int]:
         """Row k, for the walk's position <= k <= the stream's length; the walk moves to k."""
-        if not self.k <= k <= self._size:
-            raise ValueError(f"k={k} out of range (walk at {self.k}, stream length {self._size})")
-        while self._pair[1][0] < k:
-            self._pair = next(self._pairs)
-        self.k = k
-        return self._row(k)
+        if not self.k <= k <= self._starts[-1]:
+            raise ValueError(f"k={k} out of range (walk at {self.k}, stream length {self._starts[-1]})")
+        self.k, self._row = k, self._on(self.k, self._row, k)
+        return self._row
 
     def cutoff(self, prefix: str) -> int | None:
         """Least k >= the walk's position whose row's lower end exceeds 0.prefix, where the walk moves; None if none.
 
         Lower ends, compared exactly, keep the strict inequality sound under
-        outward rounding.  They only grow, so the walk steps to the first
-        pair whose end exceeds 0.prefix and bisects inside it.
+        outward rounding.  They only grow, so the walk sums on in doubling
+        steps to a row that exceeds 0.prefix, then bisects the last step.
         """
         alpha, bits = int(prefix or "0", 2), len(prefix)
 
-        def exceeds(k):
-            return _scaled_lt(alpha, self._pair[1][1][2], self._row(k)[0], bits)
+        def exceeds(row):
+            return _scaled_lt(alpha, row[2], row[0], bits)
 
-        while not exceeds(self._pair[1][0]):
-            if self._pair[1][0] == self._size:
+        k, row, step, end = self.k, self._row, 0, self._starts[-1]
+        while not exceeds(top_row := self._on(k, row, top := min(k + step, end))):
+            if top == end:
                 return None
-            self._pair = next(self._pairs)
-        ks = range(max(self.k, self._pair[0][0] + 1), self._pair[1][0] + 1)
-        self.k = ks[bisect_left(ks, True, key=exceeds)]
-        return self.k
+            k, row, step = top, top_row, 2 * step or 1
+        while top - k > 1:
+            mid = (k + top) // 2
+            if exceeds(mid_row := self._on(k, row, mid)):
+                top, top_row = mid, mid_row
+            else:
+                k, row = mid, mid_row
+        self.k, self._row = top, top_row
+        return top
 
 
-def _pow2_sum(histogram, x=1, prec: int = 64) -> tuple[int, int, int]:
-    """Row (lo, hi, e) enclosing sum n 2**(-l/x) over the items (l, n) of histogram, in one pass.
-
-    This is dyadic._running_sums' last value: exact integers added at the largest
-    exponent, so no grouping or order of the terms changes it, and it equals
-    the term-by-term sum (a Walk's last row) bit for bit.
-    """
-    row = (0, 0, 0)
-    for row in _running_sums(histogram.items(), _as_temperature(x), prec):
-        pass
-    return row
+def _pow2_sum(segments, x=1, prec: int = 64) -> tuple[int, int, int]:
+    """Row (lo, hi, e) enclosing sum n 2**(-l/x) over segments (a, b, n): a Walk's last row."""
+    walk = Walk(segments, x, prec)
+    return walk.to(walk._starts[-1])
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|p| over discovered halting programs; exact dyadic."""
-    return DyadicInterval.from_row(_pow2_sum(enum.halts)).lo
+    return DyadicInterval.from_row(_pow2_sum([(m, m + 1, n) for m, n in enum.halts.items()])).lo
 
 
 def cs_lower(enum: EnumerationResult) -> Dyadic:
     """Sum of 2**-|s| over compressible strings (H_up(s) < |s|); exact dyadic."""
-    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).histogram)).lo
+    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).segments)).lo
 
 
 def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
@@ -114,7 +115,8 @@ def z_lower(enum: EnumerationResult, T, prec: int = 64) -> DyadicInterval:
     Degenerates to the plain halting sum at T=1 and to exact dyadics
     whenever num(T) divides every |p| * den(T).
     """
-    return DyadicInterval.from_row(_pow2_sum(enum.halts, _as_temperature(T), prec))
+    halts = [(m, m + 1, n) for m, n in enum.halts.items()]
+    return DyadicInterval.from_row(_pow2_sum(halts, _as_temperature(T), prec))
 
 
 def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -> DyadicInterval:
@@ -127,7 +129,7 @@ def cst_lower(enum: EnumerationResult, T, prec: int = 64, trend: bool = False) -
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).histogram, t, prec))
+    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(1).segments, t, prec))
 
 
 def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
@@ -138,7 +140,7 @@ def csbt_lower(enum: EnumerationResult, T, trend: bool = False) -> Dyadic:
     t = _as_temperature(T)
     if t > 1 and not trend:
         raise ValueError("T > 1 is a divergent family; pass trend=True for partial sums")
-    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(t).histogram)).lo
+    return DyadicInterval.from_row(_pow2_sum(enum.compressible_stream(t).segments)).lo
 
 
 def t_convergence_sum(enum: EnumerationResult, T) -> Dyadic:
@@ -150,12 +152,13 @@ def t_convergence_sum(enum: EnumerationResult, T) -> Dyadic:
     """
     t = _as_temperature(T)
     total = Dyadic.zero()
-    for length, n in enum.compressible_stream(1).histogram.items():
-        inner = Fraction(length) / t
-        outer = inner * t
-        if outer.denominator != 1:
-            raise ArithmeticError("exponent algebra failed to cancel")
-        total = total + Dyadic.pow2(outer.numerator) * n
+    for a, b, n in enum.compressible_stream(1).segments:
+        for length in range(a, b):
+            inner = Fraction(length) / t
+            outer = inner * t
+            if outer.denominator != 1:
+                raise ArithmeticError("exponent algebra failed to cancel")
+            total = total + Dyadic.pow2(outer.numerator) * n
     return total
 
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from omegalab import Budget, Machine, enumerate_domain
 from omegalab.bits import nat_to_string
 from omegalab.census import CensusRow, census, census_profile, write_profile_csv
 from omegalab.enumerator import CompressibleStream
+from test_enumerator import REGISTRIES
 
 
 def _spelled_row(enum, n, T=1):
@@ -135,3 +137,23 @@ def test_csv_of_any_rows_is_what_csv_writer_writes(tmp_path):
     write_profile_csv(rows, tmp_path / "census.csv")
     _csv_oracle(rows, tmp_path / "oracle.csv")
     assert (tmp_path / "census.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("registry", sorted(REGISTRIES))
+def test_profile_h_upper_is_each_rows_least_program(registry):
+    """h_upper_n, asked once per length and kind, is H_up of the string of n itself, past the stream's end too.
+
+    Every L <= 16, with every length scheduled and with the last three not,
+    up to the longest member and up to n_max past it, where some strings of
+    n have no program within the schedule.
+    """
+    machine = Machine(REGISTRIES[registry])
+    for L in range(1, 17):
+        for budget in {Budget(L), Budget(L, max(L - 3, 1))}:
+            enum = enumerate_domain(machine, budget)
+            longest = max(enum.compressible_stream(1).histogram, default=0)
+            for n_max in (None, max(longest, 1 << (L // 2 + 2)) + 3):
+                rows = census_profile(enum, 1, n_max)
+                want = [enum.complexity_upper(nat_to_string(n)) for n in range(len(rows))]
+                assert [row.h_upper_n for row in rows] == want, (L, budget, n_max)
+                assert None in want or n_max is None

@@ -1,6 +1,11 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +171,23 @@ def test_fixedpoint_derives_the_constants_once(log14, capsys, monkeypatch):
     assert main(["fixedpoint", "--T", "1/2", "--t", "3/4", "--n-max", "4", "--log", str(log14)]) == 0
     assert json.loads(capsys.readouterr().out)["roundtrip_all_ok"]
     assert calls == {"derive_constants": 1, "weighted walks": 1}
+
+
+def test_main_builds_the_parser_once(log14, capsys, monkeypatch):
+    """The parser is built at the first call of main, not at import, and every later call parses with it."""
+    code = "from omegalab import cli; print(cli.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env).stdout == "0\n"
+    cli.build_parser.cache_clear()
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_subparsers", lambda self, **kw: built.append(self) or add_subparsers(self, **kw)
+    )
+    capsys.readouterr()
+    for quantity in ("omega", "cs"):
+        assert main(["measure", "--quantity", quantity, "--log", str(log14)]) == 0
+    assert len(built) == 1
 
 
 def test_empty_error_message_names_the_exception(monkeypatch, capsys):
