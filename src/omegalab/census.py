@@ -1,20 +1,20 @@
 """Per-length census of compressible strings.
 
 A census row counts the length-n strings found compressible at the current
-budget, from the stream's length histogram.  In exhaustive mode the count
-is exact for the truncated machine, and the strict-subset property (fewer
-than 2**n members at every n) is a theorem, not an observation.
+budget, summed over the stream's segments that hold length n.  In exhaustive
+mode the count is exact for the truncated machine, and the strict-subset
+property (fewer than 2**n members at every n) is a theorem, not an observation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from functools import cache
 
 from ._purecore import output_kind
-from .bits import nat_to_string
 from .enumerator import EnumerationResult, _check_memory
 
 
@@ -32,16 +32,13 @@ class CensusRow:
         return self.n - math.log2(self.count)
 
 
-def _row(enum: EnumerationResult, n: int, histogram) -> CensusRow:
-    """Row n, counted from the stream's length histogram."""
-    return CensusRow(n, histogram[n], enum.complexity_upper(nat_to_string(n)))
-
-
 def census(enum: EnumerationResult, n: int, T=1) -> CensusRow:
     """Length-n compressible strings under threshold T (H_up(s) < T*n): row n of census_profile, alone."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    return _row(enum, n, enum.compressible_stream(T).histogram)
+    count = sum(k for a, b, k in enum.compressible_stream(T).segments if a <= n < b)
+    # the string of n is bin(n + 1) less its leading 1, and H_up reads only its length and kind
+    return CensusRow(n, count, enum.complexity_upper(output_kind(n + 1)))
 
 
 def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> list[CensusRow]:
@@ -51,13 +48,14 @@ def census_profile(enum: EnumerationResult, T=1, n_max: int | None = None) -> li
     two_pow_n column alone would outgrow memory: 2**n has at least 3n/10
     digits, so the rows up to n_max spell at least 3 n_max (n_max + 1) / 20.
     """
-    histogram = enum.compressible_stream(T).histogram
+    counts = Counter()
+    for a, b, k in enum.compressible_stream(T).segments:
+        counts.update(range(a, b) if k == 1 else dict.fromkeys(range(a, b), k))
     if n_max is None:
-        n_max = max(histogram, default=0)
+        n_max = max(counts, default=0)
     _check_memory(3 * n_max * (n_max + 1) // 20, "the two_pow_n digits of the census rows")
     h_upper = cache(enum.complexity_upper)
-    # the string of n is bin(n + 1) less its leading 1, and H_up reads only its length and kind
-    return [CensusRow(n, histogram[n], h_upper(output_kind(n + 1))) for n in range(n_max + 1)]
+    return [CensusRow(n, counts[n], h_upper(output_kind(n + 1))) for n in range(n_max + 1)]
 
 
 def write_profile_csv(rows: list[CensusRow], path) -> None:

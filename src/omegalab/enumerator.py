@@ -100,14 +100,6 @@ class CompressibleStream:
         return tuple(chain.from_iterable(firsts))
 
     @cached_property
-    def histogram(self) -> Counter:
-        """{m: number of members of length m}: all that a whole stream sum reads."""
-        histogram = Counter()
-        for a, b, n in self.segments:
-            histogram.update(range(a, b) if n == 1 else dict.fromkeys(range(a, b), n))
-        return histogram
-
-    @cached_property
     def members(self) -> tuple[str, ...]:
         """The member strings in stream order, spelled on first read; refused past memory before any is."""
         _check_memory(sum(n * (a + b - 1) * (b - a) // 2 for a, b, n in self.segments), "the stream's members")

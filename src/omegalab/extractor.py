@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bits import pair_to_bits
 from .dyadic import DyadicInterval
-from .enumerator import CompressibleStream, EnumerationResult, _check_memory
+from .enumerator import EnumerationResult, _check_memory
 from .measures import Walk, _pow2_sum
 
 
@@ -23,19 +23,19 @@ class NoCutoff(Exception):
     """The full-budget sum never exceeds the given prefix value."""
 
 
-def _mode_stream(enum: EnumerationResult, T, mode: str) -> tuple[CompressibleStream, Fraction]:
-    """The stream and temperature of one of the two sum families, for 0 < T <= 1.
+def _mode(T, mode: str) -> tuple[Fraction, Fraction]:
+    """The stream threshold and temperature x of one of the two sum families, for 0 < T <= 1.
 
     cs mode sums 2**(-|s|/T) over strings with H_up(s) < |s|; csb mode sums
     2**(-|s|) over strings with H_up(s) < T|s|, so every csb term is exact.
     """
     t = Fraction(T)
     if not 0 < t <= 1:
-        raise ValueError("cutoff and tail need 0 < T <= 1")
+        raise ValueError("cutoff, tail and extraction need 0 < T <= 1")
     if mode == "cs":
-        return enum.compressible_stream(1), t
+        return Fraction(1), t
     if mode == "csb":
-        return enum.compressible_stream(t), Fraction(1)
+        return t, Fraction(1)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -43,8 +43,8 @@ def find_cutoff(
     enum: EnumerationResult, alpha_prefix: str, T=1, mode: str = "cs", prec: int = 64
 ) -> int:
     """Least k with (certified lower bound of) sum of first k terms > 0.alpha_prefix."""
-    stream, x = _mode_stream(enum, T, mode)
-    if (k := Walk(stream.segments, x, prec).cutoff(alpha_prefix)) is None:
+    threshold, x = _mode(T, mode)
+    if (k := Walk(enum.compressible_stream(threshold).segments, x, prec).cutoff(alpha_prefix)) is None:
         raise NoCutoff(f"budget sum never exceeds 0.{alpha_prefix}")
     return k
 
@@ -54,21 +54,15 @@ def extract_incompressible(
 ) -> str:
     """Lexicographically least length-m string that verify_incompressible accepts.
 
-    m is floor(T*n) at threshold 1 in cs mode, and n at threshold T in csb
-    mode: the least length-m string outside that threshold's census row.
+    m is floor(x*n) for _mode's temperature x: floor(T*n) at threshold 1 in
+    cs mode, and n at threshold T in csb mode; the string is the least
+    length-m one outside that threshold's census row.
     Existence is guaranteed: fewer than 2**m strings of length m have a
     program shorter than m.  An m past memory is refused with ValueError
     before any m-bit string is spelled.
     """
-    t = Fraction(T)
-    if not 0 < t <= 1:
-        raise ValueError("extraction needs 0 < T <= 1")
-    if mode == "cs":
-        m, threshold = (t.numerator * n) // t.denominator, 1
-    elif mode == "csb":
-        m, threshold = n, t
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    threshold, x = _mode(T, mode)
+    m = x.numerator * n // x.denominator
     if m < 1:
         raise ValueError("target length floor(T*n) (or n) must be >= 1")
     _check_memory(m, f"the bits of the {m}-bit string")
@@ -97,6 +91,7 @@ def tail_after_cutoff(
     otherwise wider than the sum of the tail's own enclosures by twice the
     width of S_k.
     """
-    stream, x = _mode_stream(enum, T, mode)
-    head = Walk(stream.segments, x, prec).to(k)
-    return DyadicInterval.from_row(_pow2_sum(stream.segments, x, prec)) - DyadicInterval.from_row(head)
+    threshold, x = _mode(T, mode)
+    segments = enum.compressible_stream(threshold).segments
+    head = Walk(segments, x, prec).to(k)
+    return DyadicInterval.from_row(_pow2_sum(segments, x, prec)) - DyadicInterval.from_row(head)

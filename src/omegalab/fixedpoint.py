@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
-from .bits import expansion_prefix, pair_to_bits
+from .bits import bit_prefix_value, expansion_prefix, pair_to_bits
 from .dyadic import Dyadic, DyadicInterval, _scaled_lt, pow2_enclosure
 from .enumerator import EnumerationResult
 from .machine import Machine, OutcomeKind, phi
@@ -71,11 +71,6 @@ class GapConstants:
     n2: int
 
 
-def prefix_value(T: Fraction, n: int) -> Fraction:
-    """Value of the first n expansion bits of T (expansion with infinitely many zeros)."""
-    return Fraction(((T.numerator % T.denominator) << n) // T.denominator, 1 << n)
-
-
 def _ceil_log2(x: Fraction) -> int:
     """Least c >= 0 with 2**c >= x, for x > 0."""
     return (math.ceil(x) - 1).bit_length()
@@ -118,7 +113,7 @@ def derive_constants(enum: EnumerationResult, T, t, prec: int = 96) -> GapConsta
     n_star = ((t - T).denominator // (t - T).numerator).bit_length()
     n0 = n_star
     for n in range(n_star - 1, 0, -1):
-        if prefix_value(T, n) + Fraction(1, 1 << n) < t:
+        if bit_prefix_value(expansion_prefix(T, n)) + Fraction(1, 1 << n) < t:
             n0 = n
         else:
             break
@@ -209,7 +204,7 @@ def check_floor_identities(constants: GapConstants, n: int) -> tuple[bool, bool]
     floor(0.(T|n) (n-c)) <= T (n-c)   and   T (n-c) - 2 <= floor(...).
     """
     T, c = constants.T, constants.c_upper
-    approx = prefix_value(T, n) * (n - c)
+    approx = bit_prefix_value(expansion_prefix(T, n)) * (n - c)
     floored = approx.numerator // approx.denominator
     exact = T * (n - c)
     return (floored <= exact, exact - 2 <= floored)
@@ -279,14 +274,15 @@ class _Frame:
     t_n: str
 
 
-def _candidate_frame(enum: EnumerationResult, n: int, cs_prefix: str, ctx: PhiContext, walk=None) -> _Frame:
-    """Cutoff k0 and the n-bit expansion of the first f(l0) with Z_k0(f(l0)) < some g(m0).
+def _walks(enum: EnumerationResult, ctx: PhiContext):
+    """walk(x): the x = 1 stream's one Walk at temperature x, built on first use; nondecreasing prefixes share it."""
+    return cache(partial(Walk, enum.compressible_stream(1).segments, prec=ctx.prec))
 
-    walk(x) is the stream's one Walk at x; a caller whose prefixes never decrease passes one.
-    """
+
+def _candidate_frame(n: int, cs_prefix: str, ctx: PhiContext, walk) -> _Frame:
+    """Cutoff k0 and the n-bit expansion of the first f(l0) with Z_k0(f(l0)) < some g(m0), on a _walks table."""
     if n < 1:
         raise ReconstructFailed("n must be positive")
-    walk = walk or cache(partial(Walk, enum.compressible_stream(1).segments, prec=ctx.prec))
     if (k0 := walk(Fraction(1)).cutoff(cs_prefix)) is None:
         raise ReconstructFailed("partial sums never exceed the given prefix")
     # Some g(m) exceeds z_hi exactly when the largest does; z_hi > 0, so an
@@ -312,13 +308,13 @@ def phi_reconstruct(
     """
     if len(selector) != ctx.c + 2:
         raise ReconstructFailed(f"selector must have exactly {ctx.c + 2} bits")
-    frame = _candidate_frame(enum, n, cs_prefix, ctx)
+    frame = _candidate_frame(n, cs_prefix, ctx, _walks(enum, ctx))
     return candidate_at(frame.t_n, ctx.c, int(selector, 2) if selector else 0)
 
 
 def true_selector(enum: EnumerationResult, n: int, cs_prefix: str, target: Fraction, ctx: PhiContext) -> str:
     """Selector bits that make phi_reconstruct return target's n-bit prefix."""
-    return _selector(_candidate_frame(enum, n, cs_prefix, ctx), n, target, ctx.c)
+    return _selector(_candidate_frame(n, cs_prefix, ctx, _walks(enum, ctx)), n, target, ctx.c)
 
 
 def _selector(frame: _Frame, n: int, target: Fraction, c: int) -> str:
@@ -362,13 +358,13 @@ def reconstruction_roundtrips(enum: EnumerationResult, T, ns, ctx: PhiContext) -
     cs = cs_lower(enum).as_fraction()
     if cs == 0:
         raise ReconstructFailed("compressible-string sum is zero at this budget")
-    walk = cache(partial(Walk, enum.compressible_stream(1).segments, prec=ctx.prec))
+    walk = _walks(enum, ctx)
     trips = []
     for n in ns:
         prefix = expansion_prefix(cs, -((-T.numerator * n) // T.denominator), ones=True)  # ceil(T n) bits
         expected = expansion_prefix(T, n)
         try:
-            frame = _candidate_frame(enum, n, prefix, ctx, walk)
+            frame = _candidate_frame(n, prefix, ctx, walk)
             selector = _selector(frame, n, T, ctx.c)
         except ReconstructFailed:
             trips.append(RoundTrip(n, prefix, "", "", expected, False, None))

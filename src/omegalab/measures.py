@@ -100,8 +100,8 @@ def _pow2_sum(segments, x=1, prec: int = 64) -> tuple[int, int, int]:
 
 
 def omega_lower(enum: EnumerationResult) -> Dyadic:
-    """Sum of 2**-|p| over discovered halting programs; exact dyadic."""
-    return DyadicInterval.from_row(_pow2_sum([(m, m + 1, n) for m, n in enum.halts.items()])).lo
+    """Sum of 2**-|p| over discovered halting programs, z_lower at T = 1; exact dyadic."""
+    return z_lower(enum, 1).lo
 
 
 def cs_lower(enum: EnumerationResult) -> Dyadic:

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from omegalab import Budget, Machine, enumerate_domain
+from omegalab._purecore import output_kind
 from omegalab.bits import nat_to_string
 from omegalab.census import CensusRow, census, census_profile, write_profile_csv
 from omegalab.enumerator import CompressibleStream
-from test_enumerator import REGISTRIES
+from test_enumerator import REGISTRIES, expand
 
 
 def _spelled_row(enum, n, T=1):
@@ -54,22 +55,26 @@ def test_thresholded_census(enum14):
     assert row.count == 1 and _spelled_row(enum14, 25, Fraction(1, 2)) == {"0" * 25}
 
 
-@pytest.mark.parametrize("T", [Fraction(1, 2), Fraction(2, 3), Fraction(1)])
-def test_census_is_a_row_of_the_profile(enum14, T):
-    longest = max(map(len, enum14.compressible_stream(T).members))
-    rows = census_profile(enum14, T, longest + 3)
-    assert rows[: longest + 1] == census_profile(enum14, T)
-    assert [census(enum14, n, T) for n in range(longest + 4)] == rows
+@pytest.mark.parametrize("T", [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2)])
+def test_census_is_a_row_of_the_profile(T):
+    """At L = 14 and 18, over every registry."""
+    for L in (14, 18):
+        for registry in sorted(REGISTRIES):
+            enum = enumerate_domain(Machine(REGISTRIES[registry]), Budget(L))
+            longest = max(map(len, enum.compressible_stream(T).members))
+            rows = census_profile(enum, T, longest + 3)
+            assert rows[: longest + 1] == census_profile(enum, T), (L, registry)
+            assert [census(enum, n, T) for n in range(longest + 4)] == rows, (L, registry)
 
 
 def test_census_builds_only_its_row(enum14, monkeypatch):
-    """census spells only the string identified with n, and counts its row from the histogram."""
+    """census asks for the kind of the string identified with n alone, and counts its row from the segments."""
     assert _spelled_row(enum14, 10**5) == set()
     calls = []
-    monkeypatch.setattr("omegalab.census.nat_to_string", lambda n: calls.append(n) or nat_to_string(n))
+    monkeypatch.setattr("omegalab.census.output_kind", lambda marked: calls.append(marked) or output_kind(marked))
     monkeypatch.setattr(CompressibleStream, "members", property(lambda self: pytest.fail("members spelled")))
     row = census(enum14, 10**5)
-    assert calls == [10**5]
+    assert calls == [10**5 + 1]
     assert row.count == 0
 
 
@@ -151,7 +156,7 @@ def test_profile_h_upper_is_each_rows_least_program(registry):
     for L in range(1, 17):
         for budget in {Budget(L), Budget(L, max(L - 3, 1))}:
             enum = enumerate_domain(machine, budget)
-            longest = max(enum.compressible_stream(1).histogram, default=0)
+            longest = max(expand(enum.compressible_stream(1).segments), default=0)
             for n_max in (None, max(longest, 1 << (L // 2 + 2)) + 3):
                 rows = census_profile(enum, 1, n_max)
                 want = [enum.complexity_upper(nat_to_string(n)) for n in range(len(rows))]

@@ -145,6 +145,24 @@ def test_extract_validation(enum14):
         extract_incompressible(enum14, 4, 1, "weird")
 
 
+@pytest.mark.parametrize(
+    "T, mode", [(0, "cs"), (0, "csb"), (Fraction(3, 2), "cs"), (Fraction(3, 2), "csb"), (1, "weird")], ids=str
+)
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda enum, T, mode: find_cutoff(enum, "", T, mode),
+        lambda enum, T, mode: tail_after_cutoff(enum, 0, T, mode),
+        lambda enum, T, mode: extract_incompressible(enum, 4, T, mode),
+    ],
+    ids=["find_cutoff", "tail_after_cutoff", "extract_incompressible"],
+)
+def test_mode_refusals(enum14, read, T, mode):
+    """Every reader of a sum family refuses a T outside (0, 1] and an unknown mode."""
+    with pytest.raises(ValueError, match="unknown mode" if mode == "weird" else "0 < T <= 1"):
+        read(enum14, T, mode)
+
+
 def test_verify_no_witness_is_trivially_true(enum14):
     assert verify_incompressible(enum14, "1" * 64)
 

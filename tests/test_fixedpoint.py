@@ -19,6 +19,7 @@ from omegalab.fixedpoint import (
     _ceil_log2,
     _Frame,
     _selector,
+    _walks,
     candidate_at,
     check_floor_identities,
     check_lower_gap,
@@ -28,7 +29,6 @@ from omegalab.fixedpoint import (
     ln2_enclosure,
     lower_gap_sweep,
     phi_reconstruct,
-    prefix_value,
     reconstruction_roundtrip,
     reconstruction_roundtrips,
     stream_length,
@@ -115,15 +115,6 @@ def test_n0_matches_the_former_scan(enum14):
         pairs.append((T0, T0 + (1 - T0) * Fraction(1, rng.randrange(2, 1 << rng.randrange(2, 40)))))
     for T0, t0 in pairs:
         assert derive_constants(enum14, T0, t0).n0 == n0_scan(T0, t0)
-
-
-def test_prefix_value_is_the_expansion_prefix():
-    rng = random.Random(0x67)
-    golden = [Fraction(a, b) for a, b in ((1, 3), (2, 3), (1, 2), (3, 4), (1, 4), (4, 5), (65, 67))]
-    randoms = [Fraction(rng.randrange(1, d), d) for d in (rng.randrange(2, 1 << 64) for _ in range(100))]
-    for value in golden + randoms:
-        for n in range(1, 201):
-            assert prefix_value(value, n) == bit_prefix_value(expansion_prefix(value, n))
 
 
 def test_partial_sums_against_direct(enum14):
@@ -312,11 +303,11 @@ def test_sweeps_equal_per_k_checks(enum14, pair):
 
 
 def synthetic(segments, monkeypatch):
-    """A result whose x = 1 stream has these segments, and the histogram: what the sums read."""
+    """A result whose x = 1 stream has these segments: what the sums read."""
     lengths = expand(segments)
     enum = EnumerationResult([], Budget(1), "synthetic", {}, {"halt": len(lengths)}, {1: len(lengths)})
     stream = CompressibleStream(Fraction(1), ())
-    vars(stream).update(segments=tuple(segments), histogram=Counter(lengths))
+    vars(stream).update(segments=tuple(segments))
     monkeypatch.setattr(enum, "compressible_stream", lambda threshold: stream)
     return enum
 
@@ -464,9 +455,9 @@ def test_candidate_frame_matches_nested_scan(enum14, ctx, context):
             want = old_candidate_frame(enum14, n, prefix, ctx)
             if want is None:
                 with pytest.raises(ReconstructFailed):
-                    _candidate_frame(enum14, n, prefix, ctx)
+                    _candidate_frame(n, prefix, ctx, _walks(enum14, ctx))
             else:
-                frame = _candidate_frame(enum14, n, prefix, ctx)
+                frame = _candidate_frame(n, prefix, ctx, _walks(enum14, ctx))
                 assert (frame.k0, frame.t_n) == want
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from omegalab import Budget, Machine, dyadic, enumerate_domain, enumerator, measures
 from omegalab.bits import pair_to_bits
+from omegalab.census import census_profile
 from omegalab.dyadic import DyadicInterval, _endpoints, pow2_enclosure
 from omegalab.enumerator import CompressibleStream
 from omegalab.fixedpoint import (
@@ -165,7 +166,7 @@ def test_streams_are_built_on_each_call(enum14):
     first = enum14.compressible_stream(Fraction(2, 3))
     again = enum14.compressible_stream(Fraction(2, 3))
     assert first is not again and first == again
-    assert first.segments == again.segments and first.histogram == again.histogram
+    assert first.segments == again.segments and first.members == again.members
     assert set(vars(enum14)) == keys
 
 
@@ -174,10 +175,10 @@ def test_result_keeps_no_stream(machine):
     res = enumerator.enumerate_domain(machine, enumerator.Budget(14))
     keys = set(vars(res))
     thresholds = [Fraction(j, 1000) for j in range(1, 1001)]
-    histograms = [res.compressible_stream(threshold).histogram for threshold in thresholds]
+    histograms = [Counter(expand(res.compressible_stream(threshold).segments)) for threshold in thresholds]
     assert set(vars(res)) == keys == {"runs", "halts", "budget", "machine_digest", "machine_identity", "counts"}
     assert all(a <= b for a, b in zip(histograms, histograms[1:]))
-    assert histograms[-1] == res.compressible_stream(1).histogram and not histograms[0]
+    assert histograms[-1] == Counter(expand(res.compressible_stream(1).segments)) and not histograms[0]
 
 
 def test_no_fixedpoint_path_keeps_partial_sums(machine, monkeypatch):
@@ -200,7 +201,7 @@ def test_no_fixedpoint_path_keeps_partial_sums(machine, monkeypatch):
     assert set(vars(res)) == {"runs", "halts", "budget", "machine_digest", "machine_identity", "counts"}
     assert streams
     for stream in streams:
-        assert set(vars(stream)) <= {"threshold", "runs", "segments", "histogram"}
+        assert set(vars(stream)) <= {"threshold", "runs", "segments"}
 
 
 def test_stream_membership(enum14):
@@ -214,9 +215,9 @@ def test_stream_membership(enum14):
 
 @pytest.mark.parametrize("threshold", [Fraction(1), Fraction(2, 3), Fraction(1, 2)], ids=str)
 def test_histogram_counts_the_stream_lengths(enum14, threshold):
-    stream = enum14.compressible_stream(threshold)
-    assert stream.histogram == Counter(expand(stream.segments))
-    assert stream.histogram is stream.histogram
+    """The census's per-length counts, summed from the segments, count the stream's members by length."""
+    histogram = Counter(expand(enum14.compressible_stream(threshold).segments))
+    assert [row.count for row in census_profile(enum14, threshold)] == [histogram[n] for n in range(max(histogram) + 1)]
 
 
 def assert_walk_matches_oracle(segments, x, prec, weighted, ks=None, fresh=False, rows=None):
@@ -344,7 +345,7 @@ def test_whole_sums_match_per_term_sum_over_registries(L):
                 if x == HUGE_Q and (registry != "none" or threshold not in (1, 2)):
                     continue
                 for weighted in (False, True):
-                    terms = ((m, m * n if weighted else n) for m, n in stream.histogram.items())
+                    terms = ((m, m * n if weighted else n) for m, n in Counter(expand(stream.segments)).items())
                     assert whole_sum(stream.segments, x, 64, weighted) == rows(terms)[-1], (registry, threshold, x)
 
 
