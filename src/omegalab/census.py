@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from functools import cache
+from typing import NamedTuple
 
 from ._purecore import output_kind
 from .enumerator import EnumerationResult, _check_memory
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     count: int
     h_upper_n: int | None  # H_up of the string identified with the number n

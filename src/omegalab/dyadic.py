@@ -9,7 +9,6 @@ adds up, which round outward so that they are always sound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
@@ -163,16 +162,16 @@ def _by_halves(n: int) -> Decimal:
     return _by_halves(n >> k) * Decimal(2) ** k + _by_halves(n & ((1 << k) - 1))
 
 
-@dataclass(frozen=True)
 class DyadicInterval:
     """Enclosure [lo, hi] of a real; degenerate (lo == hi) means exact."""
 
-    lo: Dyadic
-    hi: Dyadic
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.hi < self.lo:
+    def __init__(self, lo: Dyadic, hi: Dyadic):
+        if hi < lo:
             raise ValueError("interval endpoints out of order")
+        self.lo = lo
+        self.hi = hi
 
     @classmethod
     def point(cls, d: Dyadic) -> "DyadicInterval":
@@ -199,6 +198,17 @@ class DyadicInterval:
 
     def __sub__(self, other: "DyadicInterval") -> "DyadicInterval":
         return DyadicInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DyadicInterval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"DyadicInterval(lo={self.lo!r}, hi={self.hi!r})"
 
 
 _ROOT_METHOD_MAX_DEN = 64

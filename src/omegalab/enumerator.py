@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from io import BytesIO
@@ -52,8 +51,7 @@ from . import _purecore
 from .machine import Machine
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple("Budget", [("max_len", int), ("max_rounds", int)])):
     """Enumeration limits: program length cap and round cap.
 
     Rounds beyond max_rounds never run, so a program of length L needs
@@ -62,14 +60,14 @@ class Budget:
     within them, so lengths past max_rounds are the only unscheduled ones.
     """
 
-    max_len: int
-    max_rounds: int = 32
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_len < 1:
+    def __new__(cls, max_len: int, max_rounds: int = 32):
+        if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if self.max_rounds < 1:
+        if max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        return super().__new__(cls, max_len, max_rounds)
 
     @property
     def scheduled(self) -> int:
@@ -85,12 +83,12 @@ class HaltEvent(NamedTuple):
     steps: int
 
 
-@dataclass(frozen=True)
 class CompressibleStream:
     """Outputs s with H_up(s) < T|s|, in order of first qualifying witness, counted from the class runs."""
 
-    threshold: Fraction
-    runs: tuple[tuple[int, int, int, int], ...]
+    def __init__(self, threshold: Fraction, runs: tuple[tuple[int, int, int, int], ...]):
+        self.threshold = threshold
+        self.runs = runs
 
     @cached_property
     def segments(self) -> tuple[tuple[int, int, int], ...]:
@@ -116,6 +114,17 @@ class CompressibleStream:
     def __len__(self) -> int:
         return sum((b - a) * n for a, b, n in self.segments)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompressibleStream):
+            return NotImplemented
+        return (self.threshold, self.runs) == (other.threshold, other.runs)
+
+    def __hash__(self):
+        return hash((self.threshold, self.runs))
+
+    def __repr__(self) -> str:
+        return f"CompressibleStream(threshold={self.threshold!r}, runs={self.runs!r})"
+
 
 class EnumerationResult:
     """Completed enumeration: its halting class runs, outcome counts and halts {L: halting programs of length L}.
@@ -135,7 +144,7 @@ class EnumerationResult:
 
     def provenance(self) -> dict:
         """The machine digest and budget that every artifact carries."""
-        return {"machine": self.machine_digest, "budget": asdict(self.budget)}
+        return {"machine": self.machine_digest, "budget": self.budget._asdict()}
 
     @property
     def undecided(self) -> int:

@@ -14,9 +14,9 @@ so every inequality check is sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from typing import NamedTuple
 
 from .bits import bit_prefix_value, expansion_prefix, pair_to_bits
 from .dyadic import Dyadic, DyadicInterval, _scaled_lt, pow2_enclosure
@@ -52,8 +52,7 @@ def stream_length(enum: EnumerationResult) -> int:
     return len(enum.compressible_stream(1))
 
 
-@dataclass(frozen=True)
-class GapConstants:
+class GapConstants(NamedTuple):
     """Certified constants for the gap inequalities at temperatures T < t < 1.
 
     2**c_upper dominates W(t) ln2 / T**2 from above (upper mean-value gap);
@@ -232,8 +231,7 @@ def candidate_at(t_n: str, c: int, index: int) -> str:
     return pair_to_bits(value, len(t_n))
 
 
-@dataclass(frozen=True)
-class PhiContext:
+class PhiContext(NamedTuple):
     """Finite approximation tables standing in for the proof's recursive ones.
 
     f: rationals strictly above the target temperature, below 1, decreasing
@@ -268,8 +266,7 @@ def default_context(enum: EnumerationResult, T, t, prec: int = 96) -> PhiContext
     return PhiContext(f, g, c, prec)
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     k0: int
     t_n: str
 
@@ -325,8 +322,7 @@ def _selector(frame: _Frame, n: int, target: Fraction, c: int) -> str:
     return pair_to_bits(j, c + 2)
 
 
-@dataclass(frozen=True)
-class RoundTrip:
+class RoundTrip(NamedTuple):
     n: int
     prefix_bits: str
     selector: str
@@ -380,8 +376,7 @@ def reconstruction_roundtrip(enum: EnumerationResult, T, n: int, ctx: PhiContext
     return reconstruction_roundtrips(enum, T, [n], ctx)[0]
 
 
-@dataclass(frozen=True)
-class CompositeOutcome:
+class CompositeOutcome(NamedTuple):
     status: str  # an OutcomeKind value, or "undefined"
     output: str | None = None
     consumed: int = 0

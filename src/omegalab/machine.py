@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import _purecore
 from .bits import bits_to_pair, pair_to_bits, string_to_nat
@@ -47,8 +47,7 @@ class OutcomeKind(enum.Enum):
     NO_SUCH_SUBMACHINE = _purecore.NO_SUCH_SUBMACHINE
 
 
-@dataclass(frozen=True)
-class MachineOutcome:
+class MachineOutcome(NamedTuple):
     kind: OutcomeKind
     output: str | None = None
     consumed: int = 0

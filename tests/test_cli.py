@@ -190,6 +190,13 @@ def test_main_builds_the_parser_once(log14, capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    """A fresh import of the CLI, which loads every layer, imports neither, nor what inspect would bring in."""
+    code = "import omegalab.cli, sys; print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env).stdout == "[]\n"
+
+
 def test_empty_error_message_names_the_exception(monkeypatch, capsys):
     def fail(args):
         raise MemoryError()

@@ -1,4 +1,11 @@
-"""Dead code in the package, found with ast alone: unused imports, and private module-level names nothing reads.
+"""Dead code and slow imports in the package, found with ast alone.
+
+Dead code is unused imports, and private module-level names nothing reads.
+
+Every CLI command is a fresh process that imports the whole package, so no
+module may import dataclasses or inspect: the first pulls in the second and,
+through it, ast, dis and tokenize, and each dataclass generates and compiles
+its methods again at every import.
 
 An import is used when its bound name is read in its module (a string
 annotation counts) or listed in the module's __all__.  A private
@@ -54,6 +61,20 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in bound if name not in loaded]
 
 
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def slow_imports(tree: ast.Module) -> list[str]:
+    """The modules of SLOW_IMPORTS that the module imports, by import or from-import."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.partition(".")[0])
+    return [name for name in names if name in SLOW_IMPORTS]
+
+
 def _defined_private(tree: ast.Module) -> list[str]:
     """Module-level functions, classes and assigned names with one leading underscore."""
     names = []
@@ -84,6 +105,11 @@ def test_no_unused_imports(module):
     assert unused_imports(TREES[module]) == []
 
 
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_slow_imports(module):
+    assert slow_imports(TREES[module]) == []
+
+
 def test_no_unread_private_names():
     assert unread_private_names(TREES) == []
 
@@ -96,3 +122,9 @@ def test_the_checks_see_dead_code():
     used = ast.parse('import os\n\ndef _helper() -> "os.PathLike":\n    return 1\n\nvalue = _helper()\n')
     assert unused_imports(used) == []
     assert unread_private_names({"used.py": used}) == []
+
+
+def test_the_import_check_sees_dataclasses_and_inspect():
+    """Both import forms are flagged, and a package-relative module of the same name is not."""
+    slow = ast.parse("import inspect\nfrom dataclasses import dataclass\nfrom .inspect import x\nimport json\n")
+    assert slow_imports(slow) == ["inspect", "dataclasses"]

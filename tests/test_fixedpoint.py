@@ -1,7 +1,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -270,7 +269,7 @@ def assert_sweeps_match_per_k(enum, T0, t0):
         c = base.c_upper + 1
         while False not in seen:
             assert c > base.c_upper - 64, "upper sweep never failed"
-            tight = replace(base, c_upper=c)
+            tight = base._replace(c_upper=c)
             seen.append(upper_gap_sweep(enum, tight, [x]))
             per_k = [check_upper_gap(enum, k, tight, x) for k in ks]
             assert per_k == [upper_in_fractions(enum, k, tight, x) for k in ks]
@@ -281,7 +280,7 @@ def assert_sweeps_match_per_k(enum, T0, t0):
     c = base.c_lower + 2
     while False not in seen:
         assert c >= 0, "lower sweep never failed"
-        tight = replace(base, c_lower=c)
+        tight = base._replace(c_lower=c)
         seen.append(lower_gap_sweep(enum, tight, t0))
         per_k = [check_lower_gap(enum, k, tight, t0) for k in ks[1:]]
         assert per_k == [lower_in_fractions(enum, k, tight, t0) for k in ks[1:]]

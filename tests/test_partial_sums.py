@@ -383,7 +383,9 @@ def test_walk_matches_per_term_sum_on_long_segments_of_many_members(x, weighted)
 
 
 @pytest.mark.parametrize(
-    "x, whole", [(Fraction(1), cs_lower), (Fraction(2, 3), lambda enum: cst_lower(enum, Fraction(2, 3)))], ids=str
+    "x, whole",
+    [(Fraction(1), cs_lower), (Fraction(2, 3), lambda enum: cst_lower(enum, Fraction(2, 3)))],
+    ids=["cs", "cst-2/3"],
 )
 def test_whole_sums_take_one_enclosure_per_residue_class(enum_at, monkeypatch, x, whole):
     """At L = 22 a whole sum takes at most min(p, b - a) enclosures a segment, and one per length at or below prec."""
